@@ -17,29 +17,31 @@ The construction works case by case over the structure decomposition:
   each bridge taking the color missing at its parent endpoint and each child
   permuting its three matching colors to agree.
 
-Free choices (odd-cycle anchor position, string endpoint for the 3a of a
-replaced anchor, matching selection, farthest-rule ties) are resolved
-deterministically first and revisited in a bounded order if verification
-rejects; `ColorStats.backtracks` counts every retry so a corpus run can
-report whether the first choice ever failed.
+Every free choice has one deterministic answer: an even cycle puts 1a on
+its connector of smallest canonical key, an odd cycle spends its 3a on that
+connector (the anchored variant: on the smallest one an odd number of steps
+before the anchor), a string standing in for the 3a connector takes the 3a
+at its entry end, and the odd-boundary patch follows the farther rule with
+ties on the w-b side.  The construction leaves nothing to retry, so
+`color_graph` checks the finished coloring once with `verify`; a rejection
+is an internal bug and raises `ColoringFailed` with the violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, edge_distances_from
 from .matching import two_factor_containing
 from .recognize import find_bridges, find_claw, is_cubic
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
-                        RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
-                        DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, classify_component, component_boundary,
-                        detect_ring_of_diamonds, find_diamonds, is_k4,
+                        RING_OF_DIAMONDS, ComponentBoundary, Diamond,
+                        DiamondString, OumDecomposition, _ring_size,
+                        bridge_decompose, build_tilde, classify_component,
+                        component_boundary, find_diamonds, is_k4,
                         oum_decompose)
-from .verify import DEFAULT_SPEC, is_valid_coloring, verify
+from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
 COLOR_1B = "1b"
@@ -49,8 +51,6 @@ ONE_COLORS = (COLOR_1A, COLOR_1B, COLOR_1C)
 ALL_COLORS = ONE_COLORS + (COLOR_3A,)
 
 EdgeColoring = Dict[EdgeId, str]
-
-_CANDIDATE_LIMIT = 64   # bound on verify-and-retry combinations per graph
 
 
 class NotK4(GraphError):
@@ -86,22 +86,20 @@ class NotConnected(GraphError):
 
 
 class ColoringFailed(GraphError):
-    """All bounded retry choices were exhausted without a valid coloring."""
+    """`verify` rejected the constructed coloring at the `color_graph`
+    boundary: a bug in the construction, never a property of the input.
+    ``violations`` holds everything `verify` reported."""
+
+    def __init__(self, violations: List[Violation]):
+        super().__init__(f"constructed coloring rejected: {violations[:3]}")
+        self.violations = violations
 
 
 @dataclass
 class ColorStats:
-    """Diagnostics for the verify-and-retry loops."""
+    """Diagnostics of `color_graph`: `backtracks` counts the colorings its
+    boundary check rejected, each of which raised ColoringFailed."""
     backtracks: int = 0
-    anchored_retries: int = 0
-    component_retries: int = 0
-
-    def note(self, kind: str, count: int = 1) -> None:
-        self.backtracks += count
-        if kind == "anchored":
-            self.anchored_retries += count
-        elif kind == "component":
-            self.component_retries += count
 
 
 def apply_permutation(coloring: EdgeColoring,
@@ -149,11 +147,18 @@ def color_k4(g: MultiGraph, anchor: Optional[EdgeId] = None) -> EdgeColoring:
 
 def color_ring(g: MultiGraph, k: Optional[int] = None) -> EdgeColoring:
     """Ring-of-diamonds scheme: external pairs 1a/1b, everything else 1c."""
-    found = detect_ring_of_diamonds(g)
+    diamonds = find_diamonds(g)
+    found = _ring_size(g, diamonds)
     if found is None or (k is not None and found != k):
         raise NotRing(f"not a ring of {k or 'any'} diamonds")
+    return _diamonds_coloring(g, diamonds)
+
+
+def _diamonds_coloring(g: MultiGraph,
+                       diamonds: Sequence[Diamond]) -> EdgeColoring:
+    """External pairs of every diamond 1a/1b, every other edge of g 1c."""
     out: EdgeColoring = {eid: COLOR_1C for eid in g.edge_ids}
-    for d in find_diamonds(g):
+    for d in diamonds:
         pair_a, pair_b = d.external_pairs(g)
         for eid in pair_a:
             out[eid] = COLOR_1A
@@ -348,11 +353,11 @@ def color_string(g: MultiGraph, string: DiamondString, context: str,
 
 def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
                           cycles: Sequence[ExpandedCycle],
-                          choices: Sequence[Tuple[Optional[int], int, bool]]
+                          choices: Sequence[Tuple[Optional[int], int]]
                           ) -> EdgeColoring:
-    """One complete coloring for a given set of per-cycle choices."""
+    """The complete coloring for one (anchor slot, phase) choice per cycle."""
     coloring: EdgeColoring = {}
-    for cycle, (anchor_slot, phase, at_entry) in zip(cycles, choices):
+    for cycle, (anchor_slot, phase) in zip(cycles, choices):
         partial, string_colors = color_cycle(cycle, anchor_slot, phase)
         coloring.update(partial)
         for chord in cycle.chords:
@@ -367,8 +372,7 @@ def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
                 ctx = TYPE_CYCLE_1B
             else:
                 ctx = TYPE_CYCLE_3A
-            coloring.update(color_string(g, slot.string, ctx,
-                                         three_a_at_entry=at_entry))
+            coloring.update(color_string(g, slot.string, ctx))
     for h_eid in tf.complement:
         real = dec.realizations[h_eid]
         if real.is_string:
@@ -379,24 +383,16 @@ def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
     return coloring
 
 
-def _default_options(cycle: ExpandedCycle
-                     ) -> List[Tuple[Optional[int], int, bool]]:
-    """Choice list for one cycle, deterministic default first.
+def _default_choice(cycle: ExpandedCycle) -> Tuple[Optional[int], int]:
+    """(anchor slot, phase) for one cycle.
 
-    Even cycles have one canonical phase (1a on the connector with the
-    smallest edge id).  Odd cycles try 3a anchors in canonical order; a
-    string-realized anchor additionally offers both endpoints for its 3a.
+    An even cycle puts 1a on its connector of smallest canonical key; an
+    odd cycle spends its 3a on that connector.
     """
-    keys = [cycle.slots[t].canonical_key() for t in range(cycle.m)]
-    if not cycle.odd:
-        first = min(range(cycle.m), key=lambda t: keys[t])
-        return [(None, (3 * first + 2) % 2, True)]
-    out: List[Tuple[Optional[int], int, bool]] = []
-    for t in sorted(range(cycle.m), key=lambda t: keys[t]):
-        out.append((t, 0, True))
-        if cycle.slots[t].string is not None:
-            out.append((t, 0, False))
-    return out
+    first = min(range(cycle.m), key=lambda t: cycle.slots[t].canonical_key())
+    if cycle.odd:
+        return first, 0
+    return None, (3 * first + 2) % 2
 
 
 def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
@@ -405,29 +401,17 @@ def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
             for eids, verts in zip(tf.cycles, tf.cycle_vertices)]
 
 
-def _substituted_candidates(g: MultiGraph, dec: OumDecomposition
-                            ) -> Iterator[EdgeColoring]:
-    tf = two_factor_containing(dec.h)
-    cycles = _expand_all(g, dec, tf)
-    options = [_default_options(c) for c in cycles]
-    for combo in islice(product(*options), _CANDIDATE_LIMIT):
-        yield _assemble_substituted(g, dec, tf, cycles, combo)
-
-
-def color_2ec(g: MultiGraph, stats: Optional[ColorStats] = None
-              ) -> EdgeColoring:
+def color_2ec(g: MultiGraph) -> EdgeColoring:
     """Packing edge-coloring of a 2-edge-connected claw-free cubic graph."""
     dec = oum_decompose(g)
     if dec.variant == IS_K4:
         return color_k4(g)
     if dec.variant == RING_OF_DIAMONDS:
-        return color_ring(g)
-    for tried, cand in enumerate(_substituted_candidates(g, dec)):
-        if is_valid_coloring(g, cand):
-            if tried and stats:
-                stats.note("2ec", tried)
-            return cand
-    raise ColoringFailed("exhausted retry choices on a 2-edge-connected graph")
+        return _diamonds_coloring(g, dec.diamonds)
+    tf = two_factor_containing(dec.h)
+    cycles = _expand_all(g, dec, tf)
+    return _assemble_substituted(g, dec, tf, cycles,
+                                 [_default_choice(c) for c in cycles])
 
 
 def _anchor_h_edge(dec: OumDecomposition, anchor: EdgeId) -> int:
@@ -441,86 +425,49 @@ def _anchor_h_edge(dec: OumDecomposition, anchor: EdgeId) -> int:
         f"anchor {anchor} lies inside a triangle or diamond")
 
 
-def _anchored_substituted_candidates(g: MultiGraph, dec: OumDecomposition,
-                                     anchor: EdgeId
-                                     ) -> Iterator[EdgeColoring]:
-    """Candidates whose color at `anchor` is 1a with no 3a touching it.
-
-    The 2-factor is forced through the anchor's H-edge, so the anchor lies
-    on a cycle; an even cycle pins the phase, an odd cycle restricts the 3a
-    anchor to slots an odd number of connector steps before the anchor.
-    """
-    h_eid0 = _anchor_h_edge(dec, anchor)
-    tf = two_factor_containing(dec.h, {h_eid0})
-    cycles = _expand_all(g, dec, tf)
-    ci0 = s0 = None
-    for ci, cycle in enumerate(cycles):
-        for t, slot in enumerate(cycle.slots):
-            if slot.h_eid == h_eid0:
-                ci0, s0 = ci, t
-    assert ci0 is not None
-
-    options = [_default_options(c) for c in cycles]
-    target = cycles[ci0]
-    if not target.odd:
-        options[ci0] = [(None, (3 * s0 + 2) % 2, True)]
-    else:
-        keys = [target.slots[t].canonical_key() for t in range(target.m)]
-        slots = [t for t in sorted(range(target.m), key=lambda t: keys[t])
-                 if (s0 - t) % target.m % 2 == 1]
-        assert slots, "no odd-offset anchor slot exists"
-        opts = []
-        for t in slots:
-            opts.append((t, 0, True))
-            if target.slots[t].string is not None:
-                opts.append((t, 0, False))
-        options[ci0] = opts
-
-    u, v = g.endpoints(anchor)
-    touching = set(g.incident_edges(u)) | set(g.incident_edges(v))
-    for combo in islice(product(*options), _CANDIDATE_LIMIT):
-        cand = _assemble_substituted(g, dec, tf, cycles, combo)
-        if cand[anchor] != COLOR_1A:
-            continue
-        if any(cand[e] == COLOR_3A for e in touching):
-            continue
-        yield cand
-
-
-def _valid_anchored_colorings(g: MultiGraph, anchor: EdgeId,
-                              stats: Optional[ColorStats] = None
-                              ) -> Iterator[EdgeColoring]:
-    """Verified colorings with anchor -> 1a and no 3a at its endpoints."""
-    g.endpoints(anchor)
-    dec = oum_decompose(g)
-    if dec.variant == IS_K4:
-        yield color_k4(g, anchor=anchor)
-        return
-    if dec.variant == RING_OF_DIAMONDS:
-        col = color_ring(g)
-        if col[anchor] != COLOR_1A:
-            col = apply_permutation(col, _swap_perm(col[anchor], COLOR_1A))
-        yield col
-        return
-    u, v = g.endpoints(anchor)
-    if set(g.neighbors(u)) & set(g.neighbors(v)):
-        raise AnchorOnTriangle(f"anchor edge {anchor} lies on a triangle")
-    for cand in _anchored_substituted_candidates(g, dec, anchor):
-        if is_valid_coloring(g, cand):
-            yield cand
-        elif stats:
-            stats.note("anchored")
-
-
-def color_2ec_anchored(g: MultiGraph, anchor: EdgeId,
-                       stats: Optional[ColorStats] = None) -> EdgeColoring:
+def color_2ec_anchored(g: MultiGraph, anchor: EdgeId) -> EdgeColoring:
     """Anchored variant: the anchor edge gets 1a and no edge within distance
     one of it gets 3a.  Requires the anchor to lie on no triangle (K4 and
     rings are the two exceptions, handled by relabeling their 3-colorings).
+
+    The 2-factor is forced through the anchor's H-edge, so the anchor lies
+    on a cycle; an even cycle takes the phase that puts 1a on the anchor,
+    an odd cycle its 3a on the first slot (by canonical key) an odd number
+    of connector steps before the anchor.
     """
-    for col in _valid_anchored_colorings(g, anchor, stats):
+    u, v = g.endpoints(anchor)
+    dec = oum_decompose(g)
+    if dec.variant == IS_K4:
+        return color_k4(g, anchor=anchor)
+    if dec.variant == RING_OF_DIAMONDS:
+        col = _diamonds_coloring(g, dec.diamonds)
+        if col[anchor] != COLOR_1A:
+            col = apply_permutation(col, _swap_perm(col[anchor], COLOR_1A))
         return col
-    raise ColoringFailed("exhausted retry choices for an anchored coloring")
+    if set(g.neighbors(u)) & set(g.neighbors(v)):
+        raise AnchorOnTriangle(f"anchor edge {anchor} lies on a triangle")
+    h_eid0 = _anchor_h_edge(dec, anchor)
+    tf = two_factor_containing(dec.h, {h_eid0})
+    cycles = _expand_all(g, dec, tf)
+    ci0, s0 = next((ci, t) for ci, cycle in enumerate(cycles)
+                   for t, slot in enumerate(cycle.slots)
+                   if slot.h_eid == h_eid0)
+
+    choices = [_default_choice(c) for c in cycles]
+    target = cycles[ci0]
+    if target.odd:
+        slots = [t for t in range(target.m) if (s0 - t) % target.m % 2 == 1]
+        assert slots, "no odd-offset anchor slot exists"
+        choices[ci0] = (min(slots,
+                            key=lambda t: target.slots[t].canonical_key()), 0)
+    else:
+        choices[ci0] = (None, (3 * s0 + 2) % 2)
+    col = _assemble_substituted(g, dec, tf, cycles, choices)
+    assert col[anchor] == COLOR_1A, "anchor edge is not 1a"
+    assert all(col[e] != COLOR_3A
+               for e in g.incident_edges(u) + g.incident_edges(v)), \
+        "a 3a edge touches the anchor"
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +478,6 @@ def _color_k3_component(g_i: MultiGraph) -> EdgeColoring:
     return dict(zip(sorted(g_i.edge_ids), ONE_COLORS))
 
 
-def _color_diamond_component(g_i: MultiGraph) -> EdgeColoring:
-    d = find_diamonds(g_i)[0]
-    out = {d.internal_edge: COLOR_1C}
-    pair_a, pair_b = d.external_pairs(g_i)
-    for eid in pair_a:
-        out[eid] = COLOR_1A
-    for eid in pair_b:
-        out[eid] = COLOR_1B
-    return out
-
-
 def _min_distance_to(g_i: MultiGraph, e: EdgeId,
                      targets: Sequence[EdgeId]) -> float:
     if not targets:
@@ -550,8 +486,8 @@ def _min_distance_to(g_i: MultiGraph, e: EdgeId,
     return min(dist.get(t, float("inf")) for t in targets)
 
 
-def color_component(g_i: MultiGraph, boundary: ComponentBoundary,
-                    stats: Optional[ColorStats] = None) -> EdgeColoring:
+def color_component(g_i: MultiGraph,
+                    boundary: ComponentBoundary) -> EdgeColoring:
     """Color one big component so all its boundary edges stay 1-colored.
 
     Even boundary: color the cubic completion and forget the added edges.
@@ -561,8 +497,7 @@ def color_component(g_i: MultiGraph, boundary: ComponentBoundary,
     """
     tc = build_tilde(g_i, boundary)
     if tc.parity == "even":
-        col_t = color_2ec(tc.tilde, stats)
-        comp = tc.to_component(col_t)
+        comp = tc.to_component(color_2ec(tc.tilde))
         assert len(comp) == g_i.m
         return comp
 
@@ -574,30 +509,19 @@ def color_component(g_i: MultiGraph, boundary: ComponentBoundary,
     e_uw = g_i.edge_between(u1, w1)
     e_wb = g_i.edge_between(w1, b1)
 
-    patches = {
-        "wb": {e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
-               e_uw: COLOR_1C, e_wb: COLOR_3A},
-        "su": {e_wb: COLOR_1A, e_vw: COLOR_1B, e_uv: COLOR_1A,
-               e_uw: COLOR_1C, e_su: COLOR_3A},
-    }
-    for col_t in islice(_valid_anchored_colorings(tc.tilde, tc.sb_eid, stats),
-                        8):
-        base = tc.to_component(col_t)
-        threes = [eid for eid, c in base.items() if c == COLOR_3A]
-        dist_wb = _min_distance_to(g_i, e_wb, threes)
-        dist_su = _min_distance_to(g_i, e_su, threes)
-        # ties keep the 3a on the w-b side; only a strictly farther s-u
-        # side swaps the roles
-        order = ["wb", "su"] if dist_wb >= dist_su else ["su", "wb"]
-        for which in order:
-            full = dict(base)
-            full.update(patches[which])
-            assert len(full) == g_i.m
-            if is_valid_coloring(g_i, full):
-                return full
-            if stats:
-                stats.note("component")
-    raise ColoringFailed("exhausted retry choices for a big component")
+    out = tc.to_component(color_2ec_anchored(tc.tilde, tc.sb_eid))
+    threes = [eid for eid, c in out.items() if c == COLOR_3A]
+    # ties keep the 3a on the w-b side; only a strictly farther s-u side
+    # swaps the roles
+    if _min_distance_to(g_i, e_wb, threes) >= \
+            _min_distance_to(g_i, e_su, threes):
+        out.update({e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
+                    e_uw: COLOR_1C, e_wb: COLOR_3A})
+    else:
+        out.update({e_wb: COLOR_1A, e_vw: COLOR_1B, e_uv: COLOR_1A,
+                    e_uw: COLOR_1C, e_su: COLOR_3A})
+    assert len(out) == g_i.m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -620,26 +544,8 @@ def _missing_one_color(colors: Tuple[str, ...]) -> str:
     return left[0]
 
 
-def color_graph(g: MultiGraph,
-                stats: Optional[ColorStats] = None) -> EdgeColoring:
-    """Packing edge-coloring of any connected claw-free cubic graph.
-
-    Bridgeless graphs go straight to the 2-edge-connected construction;
-    otherwise the bridge tree is colored top-down, every bridge taking the
-    matching color missing at its parent endpoint and every child permuting
-    its matching colors so that same color is missing at its own endpoint.
-    """
-    if not g.is_connected():
-        raise NotConnected("input graph is not connected")
-    if not is_cubic(g):
-        raise NotCubic(f"degree sequence {g.degree_sequence()}")
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")
-
-    if not find_bridges(g):
-        return color_2ec(g, stats)
-
+def _color_bridge_tree(g: MultiGraph) -> EdgeColoring:
+    """Color the bridge tree of g root-down (see `color_graph`)."""
     bd = bridge_decompose(g)
     n_comp = len(bd.components)
     parent = [None] * n_comp
@@ -658,12 +564,12 @@ def color_graph(g: MultiGraph,
         if kind == K3_COMPONENT:
             col = _color_k3_component(comp)
         elif kind == DIAMOND_COMPONENT:
-            col = _color_diamond_component(comp)
+            col = _diamonds_coloring(comp, find_diamonds(comp))
         else:
             up = bd.up_edges[idx]
             boundary = component_boundary(
                 comp, up.p if up is not None else None)
-            col = color_component(comp, boundary, stats)
+            col = color_component(comp, boundary)
         if idx == bd.root:
             assert kind == BIG_COMPONENT, "root component must be big"
         else:
@@ -682,10 +588,35 @@ def color_graph(g: MultiGraph,
             final[g_eid] = col[comp_eid]
 
     assert len(final) == g.m, "assembled coloring is not total"
-    failures = verify(g, final, DEFAULT_SPEC)
-    if failures:
-        raise ColoringFailed(f"assembled coloring rejected: {failures[:3]}")
     return final
+
+
+def color_graph(g: MultiGraph,
+                stats: Optional[ColorStats] = None) -> EdgeColoring:
+    """Packing edge-coloring of any connected claw-free cubic graph.
+
+    Bridgeless graphs go straight to the 2-edge-connected construction;
+    otherwise the bridge tree is colored top-down, every bridge taking the
+    matching color missing at its parent endpoint and every child permuting
+    its matching colors so that same color is missing at its own endpoint.
+    The result is checked once with `verify`; a rejection counts in
+    `stats.backtracks` and raises ColoringFailed.
+    """
+    if not g.is_connected():
+        raise NotConnected("input graph is not connected")
+    if not is_cubic(g):
+        raise NotCubic(f"degree sequence {g.degree_sequence()}")
+    claw = find_claw(g)
+    if claw is not None:
+        raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")
+
+    coloring = _color_bridge_tree(g) if find_bridges(g) else color_2ec(g)
+    failures = verify(g, coloring, DEFAULT_SPEC)
+    if failures:
+        if stats is not None:
+            stats.backtracks += 1
+        raise ColoringFailed(failures)
+    return coloring
 
 
 def color_graph_with_stats(g: MultiGraph) -> Tuple[EdgeColoring, ColorStats]:

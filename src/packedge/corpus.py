@@ -17,7 +17,6 @@ from .coloring import COLOR_3A, ColorStats, color_graph
 from .families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                        gen_random_clawfree_cubic, gen_ring, gen_substituted)
 from .graph import MultiGraph
-from .verify import DEFAULT_SPEC, verify
 
 RING_SIZES = range(2, 11)
 H_ORDERS = (2, 4, 6, 8)
@@ -94,7 +93,7 @@ class CorpusReport:
         lines.append(f"graphs colored: {self.total}")
         lines.append(f"3a edges used:  {three_a_total}")
         lines.append(f"retry backtracks: {self.backtracks}"
-                     + ("  <-- nonzero: first choice failed somewhere"
+                     + ("  <-- nonzero: a constructed coloring was rejected"
                         if self.backtracks else ""))
         lines.append(f"failures: {self.failures}")
         lines.append(f"wall time: {self.seconds:.1f}s")
@@ -112,8 +111,8 @@ def run_corpus(entries: Optional[List[CorpusEntry]] = None,
     for entry in entries:
         g = entry.graph
         try:
-            col = color_graph(g, stats)
-            ok = not verify(g, col, DEFAULT_SPEC)
+            col = color_graph(g, stats)   # verified, or ColoringFailed
+            ok = True
             three_a = sum(1 for c in col.values() if c == COLOR_3A)
         except Exception:   # a pipeline error counts as a failure
             ok = False

@@ -30,6 +30,12 @@ class NotSimple(GraphError):
     """graph6 can only encode simple graphs."""
 
 
+class MalformedDocument(GraphError):
+    """JSON text that is not a graph or coloring document: bad JSON, not an
+    object, a missing key, an edge record other than [id, u, v], edge ids
+    other than 0..m-1, or endpoints that cannot name vertices."""
+
+
 def _g6_byte(value: int, offset: int) -> int:
     if not 63 <= value <= 126:
         raise MalformedGraph6(f"byte {value} outside graph6 range", offset)
@@ -125,18 +131,45 @@ def write_edge_list(g: MultiGraph, meta: Optional[dict] = None) -> str:
     return json.dumps(graph_document(g, meta), sort_keys=True)
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedDocument(f"invalid JSON: {exc}") from None
+
+
+def _field(doc, key: str):
+    if not isinstance(doc, dict):
+        raise MalformedDocument(
+            f"document must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise MalformedDocument(f"document has no {key!r} key")
+    return doc[key]
+
+
 def parse_edge_list(text: str) -> MultiGraph:
-    doc = json.loads(text)
-    return graph_from_document(doc)
+    return graph_from_document(_load_json(text))
 
 
 def graph_from_document(doc: dict) -> MultiGraph:
-    records = sorted(doc["edges"], key=lambda rec: rec[0])
+    records = _field(doc, "edges")
+    if not isinstance(records, list) or not all(
+            isinstance(rec, list) and len(rec) == 3
+            and type(rec[0]) is int for rec in records):
+        raise MalformedDocument("edges must be a list of [id, u, v] records "
+                                "with integer ids")
+    records = sorted(records, key=lambda rec: rec[0])
     for expected, rec in enumerate(records):
         if rec[0] != expected:
-            raise GraphError(f"edge ids must be 0..m-1, found {rec[0]}")
+            raise MalformedDocument(
+                f"edge ids must be 0..m-1, found {rec[0]}")
     edges = [(_vertex_key(rec[1]), _vertex_key(rec[2])) for rec in records]
-    return build_graph(edges)
+    try:
+        return build_graph(edges)
+    except TypeError:   # unhashable or mutually unorderable vertex names
+        raise MalformedDocument(
+            "endpoints must be hashable, mutually orderable vertex names") \
+            from None
 
 
 def _vertex_key(v):
@@ -157,10 +190,16 @@ def write_coloring(g: MultiGraph, assignment: Dict[EdgeId, str],
 
 
 def parse_coloring(text: str) -> Tuple[MultiGraph, Dict[EdgeId, str]]:
-    doc = json.loads(text)
+    doc = _load_json(text)
     g = graph_from_document(doc)
-    assignment = {int(k): v for k, v in doc["assignment"].items()}
-    return g, assignment
+    assignment = _field(doc, "assignment")
+    if not isinstance(assignment, dict):
+        raise MalformedDocument("assignment must be a JSON object")
+    try:
+        return g, {int(k): v for k, v in assignment.items()}
+    except ValueError:
+        raise MalformedDocument(
+            "assignment keys must be integer edge ids") from None
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,11 @@ def collect_diamond_strings(g: MultiGraph) -> List[DiamondString]:
     Raises NotDecomposable if diamonds overlap or chain into a closed cycle
     (a closed cycle of diamonds is a ring, which is handled elsewhere).
     """
-    diamonds = find_diamonds(g)
+    return _strings_of(g, find_diamonds(g))
+
+
+def _strings_of(g: MultiGraph, diamonds: List[Diamond]
+                ) -> List[DiamondString]:
     owner: Dict[VertexId, int] = {}
     for i, d in enumerate(diamonds):
         for v in d.vertices:
@@ -275,7 +279,11 @@ def _orient_string(g, diamonds, links, chain) -> DiamondString:
 
 def detect_ring_of_diamonds(g: MultiGraph) -> Optional[int]:
     """k if g is a closed cycle of k >= 2 diamonds covering every vertex."""
-    diamonds = find_diamonds(g)
+    return _ring_size(g, find_diamonds(g))
+
+
+def _ring_size(g: MultiGraph, diamonds: List[Diamond]) -> Optional[int]:
+    """`detect_ring_of_diamonds` over the already-found diamonds of g."""
     k = len(diamonds)
     if k < 2 or 4 * k != g.n:
         return None
@@ -349,6 +357,7 @@ class OumDecomposition:
     h: Optional[MultiGraph] = None
     triangles: Optional[Tuple[Triangle, ...]] = None
     realizations: Optional[Tuple[EdgeRealization, ...]] = None
+    diamonds: Optional[Tuple[Diamond, ...]] = None   # ring variant only
 
     def string_lengths(self) -> Tuple[int, ...]:
         if self.variant != SUBSTITUTED:
@@ -405,11 +414,13 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
     """
     if is_k4(g):
         return OumDecomposition(variant=IS_K4)
-    ring = detect_ring_of_diamonds(g)
+    diamonds = find_diamonds(g)
+    ring = _ring_size(g, diamonds)
     if ring is not None:
-        return OumDecomposition(variant=RING_OF_DIAMONDS, ring_size=ring)
+        return OumDecomposition(variant=RING_OF_DIAMONDS, ring_size=ring,
+                                diamonds=tuple(diamonds))
 
-    strings = collect_diamond_strings(g)
+    strings = _strings_of(g, diamonds)
     string_verts: Set[VertexId] = set()
     for s in strings:
         string_verts |= s.vertices

@@ -132,6 +132,22 @@ def test_usage_error_exit(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_truncated_json_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(write_edge_list(gen_ring(2))[:40])
+    for command in ("recognize", "color", "verify"):
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 2
+        assert err.startswith("error: invalid JSON")
+
+
+def test_empty_input_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    code, _, err = run(capsys, "recognize", str(empty))
+    assert code == 2 and "empty input" in err
+
+
 def test_verify_separate_graph_and_coloring(tmp_path, capsys):
     graph_file = tmp_path / "g.json"
     col_file = tmp_path / "c.json"

@@ -1,7 +1,11 @@
+import importlib
+
 import pytest
 
+import packedge.coloring as coloring_mod
 from packedge.coloring import (AnchorOnTriangle, BadAnchor, COLOR_1A,
                                COLOR_1B, COLOR_1C, COLOR_3A, ColorStats,
+                               ColoringFailed,
                                NotClawFree, NotConnected, NotCubic, NotK4,
                                NotRing, ONE_COLORS, apply_permutation,
                                color_2ec, color_2ec_anchored, color_component,
@@ -10,15 +14,20 @@ from packedge.coloring import (AnchorOnTriangle, BadAnchor, COLOR_1A,
                                color_string, _expand_all, _virtual_colors,
                                TYPE_MATCHING, TYPE_CYCLE_1A, TYPE_CYCLE_1B,
                                TYPE_CYCLE_3A, BadContext)
+from packedge.corpus import CorpusEntry, run_corpus
 from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_bridged, BridgedPlan, gen_leaf7,
                                gen_petersen, gen_random_clawfree_cubic,
                                gen_ring, gen_substituted)
 from packedge.graph import build_graph, edge_distance
 from packedge.matching import two_factor_containing
-from packedge.structure import (build_tilde, component_boundary,
+from packedge.structure import (BIG_COMPONENT, bridge_decompose, build_tilde,
+                                classify_component, component_boundary,
                                 collect_diamond_strings, oum_decompose)
 from packedge.verify import verify
+
+# the package's `verify` attribute is the function, not the module
+verify_mod = importlib.import_module("packedge.verify")
 
 
 def class_sizes(coloring):
@@ -271,6 +280,23 @@ def test_anchored_odd_cycles():
     assert verify(g, col) == []
 
 
+@pytest.mark.parametrize("seed", range(900, 940))
+def test_anchored_odd_boundary_components(seed):
+    g = gen_random_clawfree_cubic(seed, bridged=True)
+    bd = bridge_decompose(g)
+    for idx, comp in enumerate(bd.components):
+        if classify_component(comp) != BIG_COMPONENT:
+            continue
+        up = bd.up_edges[idx]
+        boundary = component_boundary(comp, up.p if up is not None else None)
+        if boundary.r % 2 == 0:
+            continue
+        tc = build_tilde(comp, boundary)
+        col = color_2ec_anchored(tc.tilde, tc.sb_eid)
+        assert anchored_contract_holds(tc.tilde, col, tc.sb_eid)
+        assert verify(tc.tilde, col) == []
+
+
 def test_anchored_rejects_triangle_edge(k4):
     g = gen_substituted(SubstitutionPlan(k4))
     tri_edge = next(e for e in g.edge_ids if _on_triangle(g, e))
@@ -454,3 +480,49 @@ def test_diamond_strings_vertex_disjoint(k4):
         seen |= s.vertices
     col = color_2ec(g)
     assert verify(g, col) == []
+
+
+# -- the boundary check ------------------------------------------------------
+
+def boundary_inputs():
+    plan = SubstitutionPlan(gen_petersen(), {0: 1})
+    return {
+        "k4": lambda: build_graph([(a, b) for a in range(4)
+                                   for b in range(a + 1, 4)]),
+        "ring": lambda: gen_ring(4),
+        "substitution": lambda: gen_substituted(plan),
+        "bridged": lambda: gen_random_clawfree_cubic(701, bridged=True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(boundary_inputs()))
+def test_color_graph_verifies_once(monkeypatch, name):
+    g = boundary_inputs()[name]()
+    calls = []
+    real = verify_mod.verify
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(verify_mod, "verify", counted)
+    monkeypatch.setattr(coloring_mod, "verify", counted)
+    color_graph(g)
+    assert calls == [g]
+
+
+def test_boundary_rejection(monkeypatch, k4):
+    def broken_k4(g, anchor=None):
+        return {eid: COLOR_1A for eid in g.edge_ids}
+    monkeypatch.setattr(coloring_mod, "color_k4", broken_k4)
+
+    stats = ColorStats()
+    with pytest.raises(ColoringFailed) as info:
+        color_graph(k4, stats)
+    assert info.value.violations == verify(k4, broken_k4(k4))
+    assert info.value.violations
+    assert stats.backtracks == 1
+
+    report = run_corpus([CorpusEntry("k4", k4, "k4")])
+    assert report.failures == 1 and report.backtracks == 1
+    assert any(line.startswith("retry backtracks: 1")
+               for line in report.summary_lines())

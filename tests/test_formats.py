@@ -1,9 +1,12 @@
+import json
+
 import networkx as nx
 import pytest
 
 from packedge.coloring import color_graph
 from packedge.families import gen_k4, gen_leaf7_pair, gen_petersen, gen_ring
-from packedge.formats import (DOT_STYLES, MalformedGraph6, NotSimple,
+from packedge.formats import (DOT_STYLES, MalformedDocument,
+                              MalformedGraph6, NotSimple,
                               parse_coloring, parse_edge_list, parse_graph6,
                               write_coloring, write_dot, write_edge_list,
                               write_graph6)
@@ -101,6 +104,33 @@ def test_coloring_document_round_trip(k4):
     g, back = parse_coloring(text)
     assert g.edge_list() == k4.edge_list()
     assert back == col
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges": [[0, 1, 2]',                   # truncated JSON
+    '[[0, 1, 2]]',                            # not an object
+    '{"n": 2}',                               # no edges
+    '{"edges": {"0": [1, 2]}}',               # edges not a list
+    '{"edges": [[0, 1]]}',                    # record too short
+    '{"edges": [[0, 1, 2, 3]]}',              # record too long
+    '{"edges": [{"id": 0, "u": 1, "v": 2}]}',  # record not a list
+    '{"edges": [["0", 1, 2]]}',               # id not an integer
+    '{"edges": [[1, 0, 1]]}',                 # ids not 0..m-1
+    '{"edges": [[0, 0, {"a": 1}]]}',          # endpoint cannot name a vertex
+    '{"edges": [[0, 0, "a"]]}',               # endpoints not orderable
+])
+def test_malformed_edge_list(text):
+    with pytest.raises(MalformedDocument):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize("assignment", [None, '[]', '{"x": "1a"}'])
+def test_malformed_coloring(k4, assignment):
+    doc = json.loads(write_edge_list(k4))
+    if assignment is not None:
+        doc["assignment"] = json.loads(assignment)
+    with pytest.raises(MalformedDocument):
+        parse_coloring(json.dumps(doc))
 
 
 # -- DOT -----------------------------------------------------------------

@@ -57,6 +57,46 @@ def test_detect_ring_substituted_k4_none(k4):
 
 # -- oum decomposition -------------------------------------------------------
 
+def counting_find_diamonds(monkeypatch):
+    """Count find_diamonds calls made through structure and coloring."""
+    import packedge.coloring as coloring
+    import packedge.structure as structure
+    calls = []
+    real = structure.find_diamonds
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+    monkeypatch.setattr(structure, "find_diamonds", counted)
+    monkeypatch.setattr(coloring, "find_diamonds", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_ring(5),
+    lambda: gen_substituted(SubstitutionPlan(build_graph(
+        [(a, b) for a in range(4) for b in range(a + 1, 4)]), {0: 2, 3: 1})),
+], ids=["ring", "substitution"])
+def test_one_diamond_scan_per_decomposition(monkeypatch, make):
+    from packedge.coloring import color_2ec
+    g = make()
+    calls = counting_find_diamonds(monkeypatch)
+    dec = oum_decompose(g)
+    assert len(calls) == 1
+    if dec.variant == RING_OF_DIAMONDS:
+        assert len(dec.diamonds) == dec.ring_size == 5
+    color_2ec(g)
+    assert len(calls) == 2          # color_2ec decomposes once more, no more
+
+
+def test_one_diamond_scan_per_color_ring(monkeypatch):
+    from packedge.coloring import color_ring
+    g = gen_ring(4)
+    calls = counting_find_diamonds(monkeypatch)
+    color_ring(g, 4)
+    assert len(calls) == 1
+
+
 def test_oum_k4(k4):
     assert oum_decompose(k4).variant == IS_K4
 
