@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, edge_distances_from
 from .matching import two_factor_containing
-from .recognize import find_bridges, find_claw, is_cubic
+from .recognize import BridgeSet, find_bridges, find_claw, is_cubic
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
                         RING_OF_DIAMONDS, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, _ring_size,
@@ -304,16 +304,16 @@ TYPE_CYCLE_1B = "type2.2"
 TYPE_CYCLE_3A = "type2.3"
 
 
-def color_string(g: MultiGraph, string: DiamondString, context: str,
-                 three_a_at_entry: bool = True) -> EdgeColoring:
+def color_string(g: MultiGraph, string: DiamondString,
+                 context: str) -> EdgeColoring:
     """Color every edge of a diamond string region by its context.
 
     type1 replaces a matching edge: external pairs 1a/1b, the rest 1c.
     type2.1 / type2.2 replace a cycle edge colored 1a / 1b: external pairs
     get the other two matching colors and the rest inherits the cycle color.
-    type2.3 replaces the cycle's 3a edge: the attachment at one endpoint
-    takes the 3a; the side fixes which matching color fills the rest so the
-    alternation at both boundary triangles stays proper.
+    type2.3 replaces the cycle's 3a edge: the entry attachment takes the 3a,
+    external pairs get 1c/1a and the rest 1b, so the alternation at both
+    boundary triangles stays proper.
     """
     if context == TYPE_MATCHING:
         pair_colors, rest = (COLOR_1A, COLOR_1B), COLOR_1C
@@ -322,9 +322,7 @@ def color_string(g: MultiGraph, string: DiamondString, context: str,
     elif context == TYPE_CYCLE_1B:
         pair_colors, rest = (COLOR_1A, COLOR_1C), COLOR_1B
     elif context == TYPE_CYCLE_3A:
-        rest = COLOR_1B if three_a_at_entry else COLOR_1A
-        other = COLOR_1A if three_a_at_entry else COLOR_1B
-        pair_colors = (COLOR_1C, other)
+        pair_colors, rest = (COLOR_1C, COLOR_1A), COLOR_1B
     else:
         raise BadContext(f"unknown string context {context!r}")
 
@@ -341,9 +339,7 @@ def color_string(g: MultiGraph, string: DiamondString, context: str,
         for eid in pair_b:
             out[eid] = pair_colors[1]
     if context == TYPE_CYCLE_3A:
-        near = string.attach_left_edge if three_a_at_entry \
-            else string.attach_right_edge
-        out[near] = COLOR_3A
+        out[string.attach_left_edge] = COLOR_3A
     return out
 
 
@@ -544,9 +540,9 @@ def _missing_one_color(colors: Tuple[str, ...]) -> str:
     return left[0]
 
 
-def _color_bridge_tree(g: MultiGraph) -> EdgeColoring:
+def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
     """Color the bridge tree of g root-down (see `color_graph`)."""
-    bd = bridge_decompose(g)
+    bd = bridge_decompose(g, bridges)
     n_comp = len(bd.components)
     parent = [None] * n_comp
     for idx in range(n_comp):
@@ -610,7 +606,8 @@ def color_graph(g: MultiGraph,
     if claw is not None:
         raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")
 
-    coloring = _color_bridge_tree(g) if find_bridges(g) else color_2ec(g)
+    bridges = find_bridges(g)
+    coloring = _color_bridge_tree(g, bridges) if bridges else color_2ec(g)
     failures = verify(g, coloring, DEFAULT_SPEC)
     if failures:
         if stats is not None:

@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import (EdgeId, GraphError, MultiGraph, VertexId, build_graph,
                     relabel_to_ints)
-from .recognize import find_bridges, find_claw, is_cubic, is_two_edge_connected
+from .recognize import (BridgeSet, find_bridges, find_claw, is_cubic,
+                        is_two_edge_connected)
 
 IS_K4 = "k4"
 RING_OF_DIAMONDS = "ring-of-diamonds"
@@ -87,36 +88,31 @@ class Diamond:
 
 
 def find_diamonds(g: MultiGraph) -> List[Diamond]:
-    """All induced diamonds, each reported once via its internal edge."""
+    """All induced diamonds, each reported once via its internal edge.
+
+    Each candidate quad is checked from the incident edges of its four
+    vertices alone, so the scan is linear in m on graphs of bounded degree.
+    """
     out = []
-    seen: Set[FrozenSet[VertexId]] = set()
+    nbrs = {v: {u for _, u in g.incident(v)} for v in g.vertices}
     for eid in g.edge_ids:
         z, w = g.endpoints(eid)
-        common = sorted(set(g.neighbors(z)) & set(g.neighbors(w)) - {z, w})
+        common = sorted(nbrs[z] & nbrs[w] - {z, w})
         if len(common) != 2:
             continue
         x, y = common
         quad = frozenset((x, y, z, w))
-        if quad in seen:
-            continue
-        if g.has_edge(x, y):
-            continue
-        wanted = {frozenset(p): 1 for p in
+        dedges = frozenset(f for v in quad for f, u in g.incident(v)
+                           if u in quad)
+        wanted = {frozenset(p) for p in
                   ((x, z), (x, w), (y, z), (y, w), (z, w))}
-        counts: Dict[FrozenSet[VertexId], int] = {}
-        for f in g.edge_ids:
-            a, b = g.endpoints(f)
-            if a in quad and b in quad:
-                key = frozenset((a, b))
-                counts[key] = counts.get(key, 0) + 1
-        if counts != wanted:
+        # exactly one edge per wanted pair and none between x and y; so
+        # each diamond is met once, at its only internal edge
+        if len(dedges) != 5 or \
+                {frozenset(g.endpoints(f)) for f in dedges} != wanted:
             continue
-        seen.add(quad)
-        dedges = frozenset(f for f in g.edge_ids
-                           if set(g.endpoints(f)) <= quad)
         out.append(Diamond(internal=(min(z, w), max(z, w)),
-                           external=(x, y),
-                           internal_edge=g.edge_between(z, w),
+                           external=(x, y), internal_edge=eid,
                            edges=dedges))
     out.sort(key=lambda d: d.internal)
     return out
@@ -506,7 +502,8 @@ def reconstruct(dec: OumDecomposition) -> MultiGraph:
     if dec.variant == IS_K4:
         return build_graph([(a, b) for a in range(4) for b in range(a + 1, 4)])
     if dec.variant == RING_OF_DIAMONDS:
-        return _build_ring(dec.ring_size)
+        from .families import gen_ring      # families imports this module
+        return gen_ring(dec.ring_size)
     h = dec.h
     edges: List[Tuple[VertexId, VertexId]] = []
     corner: Dict[Tuple[int, int], Tuple] = {}
@@ -535,16 +532,6 @@ def reconstruct(dec: OumDecomposition) -> MultiGraph:
     return out
 
 
-def _build_ring(k: int) -> MultiGraph:
-    edges = []
-    for i in range(k):
-        x, y, z, w = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        edges += [(x, z), (x, w), (y, z), (y, w), (z, w)]
-    for i in range(k):
-        edges.append((4 * i, 4 * ((i + 1) % k) + 1))  # x_i to y_{i+1}
-    return build_graph(edges)
-
-
 # ---------------------------------------------------------------------------
 # bridge decomposition
 # ---------------------------------------------------------------------------
@@ -568,14 +555,22 @@ class BridgeDecomposition:
     up_edges: Tuple[Optional[UpEdge], ...]      # None exactly at the root
 
 
-def bridge_decompose(g: MultiGraph) -> BridgeDecomposition:
+def bridge_decompose(g: MultiGraph,
+                     bridges: Optional[BridgeSet] = None) -> BridgeDecomposition:
     """Components of g minus its bridges, with the rooted bridge tree.
 
-    The tree is rooted at a leaf lying on a longest path (smallest component
-    index among candidates) and every non-root component records the bridge
-    to its parent.
+    `bridges` is the bridge set of g, found here when not given.  The tree
+    is rooted at the smallest component index whose eccentricity equals the
+    tree's diameter (a leaf on a longest path), and every non-root component
+    records the bridge to its parent.
+
+    The work is linear in m.  One sweep over the edges splits them into
+    components, and three BFS passes give every eccentricity: a is a node
+    farthest from node 0, b a node farthest from a, and in a tree
+    ecc(v) = max(d(a, v), d(b, v)).
     """
-    bridges = find_bridges(g)
+    if bridges is None:
+        bridges = find_bridges(g)
     if not bridges:
         raise NoBridges("input graph has no bridge")
 
@@ -603,17 +598,16 @@ def bridge_decompose(g: MultiGraph) -> BridgeDecomposition:
     part = {v: rank[i] for v, i in part.items()}
     groups = [groups[i] for i in order]
 
-    components = []
-    edge_maps = []
-    for verts in groups:
-        _, emap = g.induced_subgraph(verts)
-        kept = tuple(eid for eid in emap if eid not in bridges)
-        sub = build_graph([g.endpoints(eid) for eid in kept], vertices=verts)
-        components.append(sub)
-        edge_maps.append(kept)
-
-    c = len(components)
+    c = len(groups)
     assert c == len(bridges) + 1, "bridge tree is not a tree"
+    edge_maps: List[List[EdgeId]] = [[] for _ in range(c)]
+    for eid in g.edge_ids:
+        if eid not in bridges:
+            edge_maps[part[g.endpoints(eid)[0]]].append(eid)
+    components = tuple(
+        build_graph([g.endpoints(eid) for eid in emap], vertices=verts)
+        for emap, verts in zip(edge_maps, groups))
+
     adj: List[Set[int]] = [set() for _ in range(c)]
     tree_edges: Dict[Tuple[int, int], EdgeId] = {}
     for eid in sorted(bridges):
@@ -641,7 +635,10 @@ def bridge_decompose(g: MultiGraph) -> BridgeDecomposition:
             queue = nn
         return depth
 
-    ecc = [max(bfs_depths(i)) for i in range(c)]
+    from_0 = bfs_depths(0)
+    from_a = bfs_depths(from_0.index(max(from_0)))
+    from_b = bfs_depths(from_a.index(max(from_a)))
+    ecc = [max(da, db) for da, db in zip(from_a, from_b)]
     diameter = max(ecc)
     root = min(i for i in range(c) if ecc[i] == diameter)
     levels = bfs_depths(root)
@@ -659,9 +656,9 @@ def bridge_decompose(g: MultiGraph) -> BridgeDecomposition:
     assert all(up[i] is not None for i in range(c) if i != root)
 
     return BridgeDecomposition(
-        bridges=bridges, components=tuple(components),
-        edge_maps=tuple(edge_maps), tree=tree, root=root,
-        levels=tuple(levels), up_edges=tuple(up))
+        bridges=bridges, components=components,
+        edge_maps=tuple(tuple(emap) for emap in edge_maps), tree=tree,
+        root=root, levels=tuple(levels), up_edges=tuple(up))
 
 
 def classify_component(g_i: MultiGraph) -> str:

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from packedge.corpus import build_corpus, run_corpus
-from packedge.families import (gen_k4, gen_leaf7, gen_leaf7_pair,
-                               gen_petersen, gen_ring, gen_tietze)
+from packedge.families import (BridgedPlan, gen_bridged, gen_k4, gen_leaf7,
+                               gen_leaf7_pair, gen_petersen, gen_ring,
+                               gen_tietze)
 from packedge.graph import build_graph
 
 
@@ -64,3 +65,35 @@ def random_connected_graph(rng: random.Random, max_n: int = 30):
         if u != v:
             edges.append((u, v))   # parallel edges welcome
     return build_graph(edges, vertices=range(n))
+
+
+def diamond_path(rng: random.Random, d: int):
+    """d diamonds in a row between two big leaves with one boundary vertex."""
+    recipes = ([("big", (rng.randint(1, 3),))] + [("diamond",)] * d
+               + [("big", (rng.randint(1, 3),))])
+    return gen_bridged(BridgedPlan(parents=tuple(range(d + 1)),
+                                   recipes=tuple(recipes)))
+
+
+def bushy_tree(rng: random.Random, internal: int):
+    """Random tree of `internal` degree-3 components (K3s, or big components
+    with three boundary vertices), every leaf a big component with one
+    boundary vertex, some reached through one with two."""
+    parents = []
+    recipes = [("k3",)]
+    slots = [0, 0, 0]
+    for _ in range(internal - 1):
+        p = slots.pop(rng.randrange(len(slots)))
+        parents.append(p)
+        slots += [len(recipes), len(recipes)]
+        recipes.append(("big", tuple(rng.randint(1, 3) for _ in range(3)))
+                       if rng.random() < 0.3 else ("k3",))
+    for p in slots:
+        if rng.random() < 0.3:
+            parents.append(p)
+            p = len(recipes)
+            recipes.append(("big", (rng.randint(1, 3), rng.randint(1, 3))))
+        parents.append(p)
+        recipes.append(("big", (rng.randint(1, 3),)))
+    return gen_bridged(BridgedPlan(parents=tuple(parents),
+                                   recipes=tuple(recipes)))

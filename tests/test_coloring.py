@@ -166,13 +166,13 @@ def test_color_string_type22_counts():
     assert class_sizes(col) == {"1a": 2, "1c": 2, "1b": 3}
 
 
-@pytest.mark.parametrize("at_entry,rest", [(True, COLOR_1B), (False, COLOR_1A)])
+# the id names the 3a's side (the entry end) and the color filling the rest
+@pytest.mark.parametrize("at_entry,rest", [(True, COLOR_1B)])
 def test_color_string_type23(at_entry, rest):
     g, s = single_string_graph()
-    col = color_string(g, s, TYPE_CYCLE_3A, three_a_at_entry=at_entry)
-    near = s.attach_left_edge if at_entry else s.attach_right_edge
-    far = s.attach_right_edge if at_entry else s.attach_left_edge
-    assert col[near] == COLOR_3A
+    col = color_string(g, s, TYPE_CYCLE_3A)
+    near, far = s.attach_left_edge, s.attach_right_edge
+    assert at_entry and col[near] == COLOR_3A
     assert col[far] == rest
     assert col[s.diamonds[0].internal_edge] == rest
     sizes = class_sizes(col)

@@ -1,18 +1,23 @@
+import random
+
 import pytest
 
+from conftest import bushy_tree, diamond_path
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_big_component, gen_bridged, BridgedPlan,
                                gen_random_clawfree_cubic, gen_ring,
                                gen_substituted)
 from packedge.graph import are_isomorphic_small, build_graph
-from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
+from packedge.recognize import (find_bridges, find_claw, is_cubic,
+                                is_two_edge_connected)
 from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
-                                ClaimViolation, ClassificationFailed,
-                                NoBridges, bridge_decompose, build_tilde,
-                                classify_component, component_boundary,
-                                detect_ring_of_diamonds, find_diamonds,
-                                is_k4, oum_decompose, reconstruct)
+                                ClaimViolation, ClassificationFailed, Diamond,
+                                NoBridges, UpEdge, bridge_decompose,
+                                build_tilde, classify_component,
+                                component_boundary, detect_ring_of_diamonds,
+                                find_diamonds, is_k4, oum_decompose,
+                                reconstruct)
 
 
 def fingerprint(g):
@@ -21,7 +26,122 @@ def fingerprint(g):
             len(find_diamonds(g)))
 
 
+# -- quadratic references ----------------------------------------------------
+
+def find_diamonds_reference(g):
+    """Global scan: each candidate quad counts its edges over all of E(g)."""
+    out = []
+    seen = set()
+    for eid in g.edge_ids:
+        z, w = g.endpoints(eid)
+        common = sorted(set(g.neighbors(z)) & set(g.neighbors(w)) - {z, w})
+        if len(common) != 2:
+            continue
+        x, y = common
+        quad = frozenset((x, y, z, w))
+        if quad in seen or g.has_edge(x, y):
+            continue
+        wanted = {frozenset(p): 1 for p in
+                  ((x, z), (x, w), (y, z), (y, w), (z, w))}
+        counts = {}
+        for f in g.edge_ids:
+            a, b = g.endpoints(f)
+            if a in quad and b in quad:
+                key = frozenset((a, b))
+                counts[key] = counts.get(key, 0) + 1
+        if counts != wanted:
+            continue
+        seen.add(quad)
+        out.append(Diamond(
+            internal=(min(z, w), max(z, w)), external=(x, y),
+            internal_edge=g.edge_between(z, w),
+            edges=frozenset(f for f in g.edge_ids
+                            if set(g.endpoints(f)) <= quad)))
+    out.sort(key=lambda d: d.internal)
+    return out
+
+
+def bridge_decompose_reference(g):
+    """The fields of `bridge_decompose(g)`, from one induced subgraph per
+    component and a BFS from every bridge-tree node."""
+    bridges = find_bridges(g)
+    rest = build_graph([g.endpoints(e) for e in g.edge_ids
+                        if e not in bridges], vertices=g.vertices)
+    groups = sorted((sorted(c) for c in rest.connected_components()),
+                    key=lambda vs: vs[0])
+    part = {v: i for i, vs in enumerate(groups) for v in vs}
+    subs = [g.induced_subgraph(vs) for vs in groups]
+    c = len(groups)
+    tg = build_graph([[part[v] for v in g.endpoints(e)] for e in bridges],
+                     vertices=range(c))
+    tree = tuple(tg.neighbors(i) for i in range(c))
+    ecc = [max(tg.vertex_distances(i).values()) for i in range(c)]
+    root = min(i for i in range(c) if ecc[i] == max(ecc))
+    dist = tg.vertex_distances(root)
+    levels = [dist[i] for i in range(c)]
+    up = []
+    for i in range(c):
+        if i == root:
+            up.append(None)
+            continue
+        parent = next(j for j in tree[i] if levels[j] == levels[i] - 1)
+        bridge = next(e for e in bridges
+                      if {part[v] for v in g.endpoints(e)} == {i, parent})
+        p, q = g.endpoints(bridge)
+        if part[p] != i:
+            p, q = q, p
+        up.append(UpEdge(p=p, q=q, bridge=bridge))
+    return dict(bridges=bridges,
+                components=[(sub.vertices, sub.edge_list()) for sub, _ in subs],
+                edge_maps=tuple(emap for _, emap in subs), tree=tree,
+                root=root, levels=tuple(levels), up_edges=tuple(up))
+
+
+def bridge_fields(bd):
+    return dict(bridges=bd.bridges,
+                components=[(c.vertices, c.edge_list()) for c in bd.components],
+                edge_maps=bd.edge_maps, tree=bd.tree, root=bd.root,
+                levels=bd.levels, up_edges=bd.up_edges)
+
+
+def seeded_tree(kind, size):
+    make = diamond_path if kind == "path" else bushy_tree
+    return make(random.Random(size), size)
+
+
+TREES = [("path", 1), ("path", 2), ("path", 37), ("path", 400),
+         ("bushy", 2), ("bushy", 15), ("bushy", 60)]
+
+
+def test_find_diamonds_matches_global_scan_on_corpus(corpus):
+    for entry in corpus:
+        assert find_diamonds(entry.graph) == \
+            find_diamonds_reference(entry.graph), entry.name
+
+
+def test_bridge_decompose_matches_reference_on_corpus(corpus):
+    bridged = [e for e in corpus if find_bridges(e.graph)]
+    assert len(bridged) >= 100
+    for entry in bridged:
+        assert bridge_fields(bridge_decompose(entry.graph)) == \
+            bridge_decompose_reference(entry.graph), entry.name
+
+
+@pytest.mark.parametrize("kind,size", TREES)
+def test_structure_matches_references_on_seeded_trees(kind, size):
+    g = seeded_tree(kind, size)
+    assert find_diamonds(g) == find_diamonds_reference(g)
+    assert bridge_fields(bridge_decompose(g)) == bridge_decompose_reference(g)
+
+
 # -- diamonds ----------------------------------------------------------------
+
+@pytest.mark.parametrize("extra", [(2, 3), (0, 2), (0, 1)],
+                         ids=["double-internal", "double-external", "k4"])
+def test_find_diamonds_needs_one_edge_per_pair(extra):
+    g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), extra])
+    assert find_diamonds(g) == find_diamonds_reference(g) == []
+
 
 def test_no_induced_diamond_in_k4(k4):
     assert find_diamonds(k4) == []
@@ -204,6 +324,36 @@ def test_bridge_decompose_component_count_matches_bridges():
                 assert classify_component(comp) == BIG_COMPONENT
                 deg2 = [v for v in comp.vertices if comp.degree(v) == 2]
                 assert len(deg2) == 1
+
+
+def test_one_bridge_search_per_color_graph(monkeypatch):
+    import packedge.coloring as coloring
+    import packedge.recognize as recognize
+    import packedge.structure as structure
+    g = gen_random_clawfree_cubic(701, bridged=True)
+    searched = []
+    real = recognize.find_bridges
+
+    def counted(h):
+        searched.append(h)
+        return real(h)
+    for mod in (recognize, structure, coloring):
+        monkeypatch.setattr(mod, "find_bridges", counted)
+    coloring.color_graph(g)
+    assert sum(1 for h in searched if h is g) == 1
+    assert len(searched) > 1        # components and tildes keep their checks
+
+
+def test_two_thousand_diamond_path():
+    from packedge.coloring import color_graph
+    g = diamond_path(random.Random(5), 2000)
+    assert g.m == 12039
+    bd = bridge_decompose(g)
+    assert len(bd.components) == 2002
+    owned = sorted(list(bd.bridges) + [e for emap in bd.edge_maps for e in emap])
+    assert owned == list(g.edge_ids)
+    col = color_graph(g)            # raises ColoringFailed if verify rejects
+    assert sorted(col) == list(g.edge_ids)
 
 
 def test_bridge_decompose_bridgeless_raises(k4):
