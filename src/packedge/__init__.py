@@ -12,8 +12,7 @@ from .coloring import (ColorStats, ColoringFailed, apply_permutation,
                        color_graph, color_graph_with_stats, color_k4,
                        color_ring, COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A)
 from .graph import (EdgeId, GraphError, INFINITE, MultiGraph, VertexId,
-                    are_isomorphic_small, build_graph, edge_distance,
-                    line_graph)
+                    are_isomorphic_small, build_graph)
 from .matching import TwoFactor, perfect_matching_avoiding, two_factor_containing
 from .oracle import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FEASIBLE, INFEASIBLE,
                      OracleResult, oracle_color)
@@ -21,7 +20,7 @@ from .recognize import (ClawWitness, find_bridges, find_claw, is_cubic,
                         is_two_edge_connected)
 from .structure import (BridgeDecomposition, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, classify_component, component_boundary,
+                        build_tilde, component_boundary,
                         detect_ring_of_diamonds, find_diamonds, oum_decompose,
                         reconstruct)
 from .verify import PackingSpec, Violation, verify, is_valid_coloring

@@ -95,9 +95,10 @@ def cmd_decompose(args) -> int:
             "kind": "bridge-tree",
             "bridges": sorted(bd.bridges),
             "components": [
-                {"index": i, "vertices": list(c.vertices), "edges": c.m,
-                 "level": bd.levels[i]}
-                for i, c in enumerate(bd.components)],
+                {"index": i, "kind": kind, "vertices": list(verts),
+                 "edges": len(emap), "level": bd.levels[i]}
+                for i, (kind, verts, emap) in enumerate(
+                    zip(bd.kinds, bd.vertices, bd.edge_maps))],
             "root": bd.root,
             "tree": [list(row) for row in bd.tree],
         }

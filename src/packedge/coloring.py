@@ -13,9 +13,10 @@ The construction works case by case over the structure decomposition:
   components are completed into 2-edge-connected claw-free cubic graphs,
   colored, and for odd boundaries patched locally around the dropped
   triangle (the new 3a goes on whichever of the two candidate edges is
-  farther from the existing 3a edges);  the tree is then assembled root-down,
-  each bridge taking the color missing at its parent endpoint and each child
-  permuting its three matching colors to agree.
+  farther from the existing 3a edges);  the tree is then assembled root-down
+  in the input's edge ids, each bridge taking the color missing at its
+  parent endpoint and each child permuting its three matching colors to
+  agree.
 
 Every free choice has one deterministic answer: an even cycle puts 1a on
 its connector of smallest canonical key, an odd cycle spends its 3a on that
@@ -38,9 +39,8 @@ from .recognize import BridgeSet, find_bridges, find_claw, is_cubic
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
                         RING_OF_DIAMONDS, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, _ring_size,
-                        bridge_decompose, build_tilde, classify_component,
-                        component_boundary, find_diamonds, is_k4,
-                        oum_decompose)
+                        bridge_decompose, build_tilde, component_boundary,
+                        find_diamonds, is_k4, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
@@ -151,13 +151,13 @@ def color_ring(g: MultiGraph, k: Optional[int] = None) -> EdgeColoring:
     found = _ring_size(g, diamonds)
     if found is None or (k is not None and found != k):
         raise NotRing(f"not a ring of {k or 'any'} diamonds")
-    return _diamonds_coloring(g, diamonds)
+    return _diamonds_coloring(g, diamonds, g.edge_ids)
 
 
-def _diamonds_coloring(g: MultiGraph,
-                       diamonds: Sequence[Diamond]) -> EdgeColoring:
-    """External pairs of every diamond 1a/1b, every other edge of g 1c."""
-    out: EdgeColoring = {eid: COLOR_1C for eid in g.edge_ids}
+def _diamonds_coloring(g: MultiGraph, diamonds: Sequence[Diamond],
+                       edges: Sequence[EdgeId]) -> EdgeColoring:
+    """External pairs of every diamond 1a/1b, every other one of `edges` 1c."""
+    out: EdgeColoring = {eid: COLOR_1C for eid in edges}
     for d in diamonds:
         pair_a, pair_b = d.external_pairs(g)
         for eid in pair_a:
@@ -403,7 +403,7 @@ def color_2ec(g: MultiGraph) -> EdgeColoring:
     if dec.variant == IS_K4:
         return color_k4(g)
     if dec.variant == RING_OF_DIAMONDS:
-        return _diamonds_coloring(g, dec.diamonds)
+        return _diamonds_coloring(g, dec.diamonds, g.edge_ids)
     tf = two_factor_containing(dec.h)
     cycles = _expand_all(g, dec, tf)
     return _assemble_substituted(g, dec, tf, cycles,
@@ -436,7 +436,7 @@ def color_2ec_anchored(g: MultiGraph, anchor: EdgeId) -> EdgeColoring:
     if dec.variant == IS_K4:
         return color_k4(g, anchor=anchor)
     if dec.variant == RING_OF_DIAMONDS:
-        col = _diamonds_coloring(g, dec.diamonds)
+        col = _diamonds_coloring(g, dec.diamonds, g.edge_ids)
         if col[anchor] != COLOR_1A:
             col = apply_permutation(col, _swap_perm(col[anchor], COLOR_1A))
         return col
@@ -469,10 +469,6 @@ def color_2ec_anchored(g: MultiGraph, anchor: EdgeId) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # bridge-tree components
 # ---------------------------------------------------------------------------
-
-def _color_k3_component(g_i: MultiGraph) -> EdgeColoring:
-    return dict(zip(sorted(g_i.edge_ids), ONE_COLORS))
-
 
 def _min_distance_to(g_i: MultiGraph, e: EdgeId,
                      targets: Sequence[EdgeId]) -> float:
@@ -524,64 +520,44 @@ def color_component(g_i: MultiGraph,
 # whole graphs
 # ---------------------------------------------------------------------------
 
-def _one_colors_at(g_i: MultiGraph, coloring: EdgeColoring,
-                   v: VertexId) -> Tuple[str, ...]:
-    colors = tuple(coloring[eid] for eid in g_i.incident_edges(v))
-    assert all(c in ONE_COLORS for c in colors), \
-        f"boundary vertex {v!r} touches a 3a edge"
-    assert len(set(colors)) == len(colors), \
-        f"boundary vertex {v!r} repeats a color"
-    return colors
-
-
-def _missing_one_color(colors: Tuple[str, ...]) -> str:
+def _missing_color_at(g: MultiGraph, bridges: BridgeSet,
+                      coloring: EdgeColoring, v: VertexId) -> str:
+    """The matching color missing at bridge end v, whose two non-bridge
+    edges must carry the other two."""
+    colors = {coloring[eid] for eid, _ in g.incident(v) if eid not in bridges}
     left = [c for c in ONE_COLORS if c not in colors]
-    assert len(left) == 1
+    assert len(left) == 1, f"bridge end {v!r} sees colors {sorted(colors)}"
     return left[0]
 
 
 def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
-    """Color the bridge tree of g root-down (see `color_graph`)."""
+    """Color the bridge tree of g root-down (see `color_graph`), in g's
+    edge ids: K3 edges take the three matching colors, a diamond its ring
+    scheme, and a big component is colored on its own graph and mapped
+    back once."""
     bd = bridge_decompose(g, bridges)
-    n_comp = len(bd.components)
-    parent = [None] * n_comp
-    for idx in range(n_comp):
-        if idx == bd.root:
-            continue
-        parent[idx] = next(j for j in bd.tree[idx]
-                           if bd.levels[j] == bd.levels[idx] - 1)
-
+    assert bd.kinds[bd.root] == BIG_COMPONENT, "root component must be big"
     final: EdgeColoring = {}
-    comp_colorings: List[Optional[EdgeColoring]] = [None] * n_comp
-    bfs_order = sorted(range(n_comp), key=lambda i: (bd.levels[i], i))
-    for idx in bfs_order:
-        comp = bd.components[idx]
-        kind = classify_component(comp)
+    for idx in sorted(range(len(bd.kinds)), key=lambda i: (bd.levels[i], i)):
+        emap, kind, up = bd.edge_maps[idx], bd.kinds[idx], bd.up_edges[idx]
         if kind == K3_COMPONENT:
-            col = _color_k3_component(comp)
+            col = dict(zip(emap, ONE_COLORS))
         elif kind == DIAMOND_COMPONENT:
-            col = _diamonds_coloring(comp, find_diamonds(comp))
+            col = _diamonds_coloring(g, [bd.diamonds[idx]], emap)
         else:
-            up = bd.up_edges[idx]
+            comp = bd.component_graph(g, idx)
             boundary = component_boundary(
                 comp, up.p if up is not None else None)
-            col = color_component(comp, boundary)
-        if idx == bd.root:
-            assert kind == BIG_COMPONENT, "root component must be big"
-        else:
-            up = bd.up_edges[idx]
-            parent_comp = bd.components[parent[idx]]
-            bridge_color = _missing_one_color(
-                _one_colors_at(parent_comp, comp_colorings[parent[idx]], up.q))
+            col = {emap[comp_eid]: c for comp_eid, c in
+                   color_component(comp, boundary).items()}
+        if up is not None:
+            bridge_color = _missing_color_at(g, bd.bridges, final, up.q)
             final[up.bridge] = bridge_color
-            child_missing = _missing_one_color(
-                _one_colors_at(comp, col, up.p))
+            child_missing = _missing_color_at(g, bd.bridges, col, up.p)
             if child_missing != bridge_color:
                 col = apply_permutation(
                     col, _swap_perm(child_missing, bridge_color))
-        comp_colorings[idx] = col
-        for comp_eid, g_eid in enumerate(bd.edge_maps[idx]):
-            final[g_eid] = col[comp_eid]
+        final.update(col)
 
     assert len(final) == g.m, "assembled coloring is not total"
     return final

@@ -168,16 +168,6 @@ class MultiGraph:
             return True
         return len(self.vertex_distances(self._vertices[0])) == self.n
 
-    def induced_subgraph(self, keep: Iterable[VertexId]
-                         ) -> Tuple["MultiGraph", Tuple[EdgeId, ...]]:
-        """Subgraph on `keep`; second value maps new edge ids to old ones."""
-        keep = set(keep)
-        kept_edges = [eid for eid, (u, v) in enumerate(self._edges)
-                      if u in keep and v in keep]
-        sub = MultiGraph([self._edges[eid] for eid in kept_edges],
-                         vertices=keep)
-        return sub, tuple(kept_edges)
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
@@ -210,32 +200,6 @@ def _adjacent_edges(g: MultiGraph, eid: EdgeId) -> List[EdgeId]:
     return out
 
 
-def edge_distance(g: MultiGraph, e: EdgeId, f: EdgeId) -> float:
-    """Distance between two edges: number of hops between them in edge space.
-
-    0 iff e == f, 1 for edges sharing an endpoint, and generally one more
-    than the smallest vertex distance between an endpoint of e and one of f.
-    Returns INFINITE when e and f lie in different components.
-    """
-    g.endpoints(e)
-    g.endpoints(f)
-    if e == f:
-        return 0
-    dist = {e: 0}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for adj in _adjacent_edges(g, cur):
-                if adj not in dist:
-                    dist[adj] = dist[cur] + 1
-                    if adj == f:
-                        return dist[adj]
-                    nxt.append(adj)
-        frontier = nxt
-    return INFINITE
-
-
 def edge_distances_from(g: MultiGraph, e: EdgeId,
                         cap: Optional[int] = None) -> Dict[EdgeId, int]:
     """BFS distances in edge space from e, optionally truncated at cap."""
@@ -253,18 +217,6 @@ def edge_distances_from(g: MultiGraph, e: EdgeId,
                     nxt.append(adj)
         frontier = nxt
     return dist
-
-
-def line_graph(g: MultiGraph) -> MultiGraph:
-    """Simple graph with one vertex per edge of g; adjacency = shared endpoint."""
-    pairs = set()
-    for v in g.vertices:
-        incident = [eid for eid, _ in g.incident(v)]
-        for i, e in enumerate(incident):
-            for f in incident[i + 1:]:
-                if e != f:
-                    pairs.add((min(e, f), max(e, f)))
-    return MultiGraph(sorted(pairs), vertices=g.edge_ids)
 
 
 # -- small-graph isomorphism ------------------------------------------------

@@ -86,19 +86,6 @@ def find_bridges(g: MultiGraph) -> BridgeSet:
     return frozenset(bridges)
 
 
-def find_bridges_bruteforce(g: MultiGraph) -> BridgeSet:
-    """Definitional bridge finder: delete each edge, count components."""
-    base = len(g.connected_components())
-    out = set()
-    for eid in g.edge_ids:
-        reduced = MultiGraph(
-            [g.endpoints(f) for f in g.edge_ids if f != eid],
-            vertices=g.vertices)
-        if len(reduced.connected_components()) > base:
-            out.add(eid)
-    return frozenset(out)
-
-
 def is_two_edge_connected(g: MultiGraph) -> bool:
     """Connected, at least two vertices, and bridgeless."""
     return g.n >= 2 and g.is_connected() and not find_bridges(g)

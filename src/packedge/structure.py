@@ -4,8 +4,9 @@ Two structures are computed here.  For 2-edge-connected inputs: the
 triangle-and-diamond-string decomposition (the graph is K4, a ring of
 diamonds, or a cubic multigraph H with every vertex blown up into a triangle
 and some edges realized as strings of diamonds).  For inputs with bridges:
-the bridge tree with components classified, boundary data for the degree-2
-vertices, and the cubic completion ("tilde") of each big component.
+the bridge tree, whose components are typed once, as they are cut, as K3s,
+diamonds or big components; boundary data for the degree-2 vertices of a
+big component; and its cubic completion ("tilde").
 
 Every structural fact the later coloring stages rely on is asserted here and
 surfaced as an error when violated, so a bad input fails loudly at the
@@ -14,11 +15,11 @@ decomposition stage rather than producing a wrong coloring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .graph import (EdgeId, GraphError, MultiGraph, VertexId, build_graph,
-                    relabel_to_ints)
+from .graph import EdgeId, GraphError, MultiGraph, VertexId, build_graph
 from .recognize import (BridgeSet, find_bridges, find_claw, is_cubic,
                         is_two_edge_connected)
 
@@ -175,17 +176,13 @@ def _external_exit(g: MultiGraph, d: Diamond, x: VertexId
     return outs[0]
 
 
-def collect_diamond_strings(g: MultiGraph) -> List[DiamondString]:
+def _strings_of(g: MultiGraph, diamonds: List[Diamond]
+                ) -> List[DiamondString]:
     """Group the diamonds of g into maximal strings.
 
     Raises NotDecomposable if diamonds overlap or chain into a closed cycle
     (a closed cycle of diamonds is a ring, which is handled elsewhere).
     """
-    return _strings_of(g, find_diamonds(g))
-
-
-def _strings_of(g: MultiGraph, diamonds: List[Diamond]
-                ) -> List[DiamondString]:
     owner: Dict[VertexId, int] = {}
     for i, d in enumerate(diamonds):
         for v in d.vertices:
@@ -499,37 +496,15 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
 
 def reconstruct(dec: OumDecomposition) -> MultiGraph:
     """Build a fresh graph from the decomposition data (for round-trips)."""
+    # families imports this module
+    from .families import SubstitutionPlan, gen_k4, gen_ring, gen_substituted
     if dec.variant == IS_K4:
-        return build_graph([(a, b) for a in range(4) for b in range(a + 1, 4)])
+        return gen_k4()
     if dec.variant == RING_OF_DIAMONDS:
-        from .families import gen_ring      # families imports this module
         return gen_ring(dec.ring_size)
-    h = dec.h
-    edges: List[Tuple[VertexId, VertexId]] = []
-    corner: Dict[Tuple[int, int], Tuple] = {}
-    for t in range(h.n):
-        c0, c1, c2 = ("t", t, 0), ("t", t, 1), ("t", t, 2)
-        edges += [(c0, c1), (c0, c2), (c1, c2)]
-        for slot, (h_eid, _) in enumerate(sorted(h.incident(t))):
-            corner[(t, h_eid)] = ("t", t, slot)
-    fresh = 0
-    for h_eid in h.edge_ids:
-        t1, t2 = h.endpoints(h_eid)
-        a = corner[(t1, h_eid)]
-        b = corner[(t2, h_eid)]
-        real = dec.realizations[h_eid]
-        if not real.is_string:
-            edges.append((a, b))
-            continue
-        prev = a
-        for _ in range(real.string.k):
-            x, y, z, w = [("d", fresh, i) for i in range(4)]
-            fresh += 1
-            edges += [(x, z), (x, w), (y, z), (y, w), (z, w), (prev, y)]
-            prev = x
-        edges.append((prev, b))
-    out, _ = relabel_to_ints(build_graph(edges))
-    return out
+    return gen_substituted(SubstitutionPlan(dec.h, {
+        h_eid: r.string.k for h_eid, r in enumerate(dec.realizations)
+        if r.is_string}))
 
 
 # ---------------------------------------------------------------------------
@@ -546,28 +521,72 @@ class UpEdge:
 
 @dataclass
 class BridgeDecomposition:
+    """Components of g minus its bridges, indexed in parallel: component i
+    has the sorted `vertices[i]`, its edges `edge_maps[i]` in increasing G
+    edge id, its shape `kinds[i]` and, for a diamond, `diamonds[i]` (in G's
+    edge ids; None for the other kinds)."""
     bridges: FrozenSet[EdgeId]
-    components: Tuple[MultiGraph, ...]
+    vertices: Tuple[Tuple[VertexId, ...], ...]
+    kinds: Tuple[str, ...]
+    diamonds: Tuple[Optional[Diamond], ...]
     edge_maps: Tuple[Tuple[EdgeId, ...], ...]   # component eid -> G eid
     tree: Tuple[Tuple[int, ...], ...]
     root: int
     levels: Tuple[int, ...]
     up_edges: Tuple[Optional[UpEdge], ...]      # None exactly at the root
 
+    def component_graph(self, g: MultiGraph, i: int) -> MultiGraph:
+        """Component i as a graph of its own, edge j being G edge
+        `edge_maps[i][j]`."""
+        return build_graph([g.endpoints(eid) for eid in self.edge_maps[i]],
+                           vertices=self.vertices[i])
+
+
+def _component_shape(g: MultiGraph, verts: List[VertexId],
+                     emap: List[EdgeId]) -> Tuple[str, Optional[Diamond]]:
+    """The kind of one component of g minus its bridges, and its diamond.
+
+    A simple graph on three vertices with three edges is K3, and one on four
+    vertices with five edges is K4 minus an edge: a diamond whose internal
+    pair is the two vertices of degree 3.
+    """
+    n, m = len(verts), len(emap)
+    deg = Counter(v for eid in emap for v in g.endpoints(eid))
+    if len({frozenset(g.endpoints(eid)) for eid in emap}) == m:
+        if n == 3 and m == 3:
+            return K3_COMPONENT, None
+        if n == 4 and m == 5:
+            internal = tuple(v for v in verts if deg[v] == 3)
+            external = tuple(v for v in verts if deg[v] == 2)
+            internal_edge = next(eid for eid in emap
+                                 if set(g.endpoints(eid)) == set(internal))
+            return DIAMOND_COMPONENT, Diamond(
+                internal=internal, external=external,
+                internal_edge=internal_edge, edges=frozenset(emap))
+    degs = tuple(sorted(deg[v] for v in verts))
+    if n >= 5 and degs[-1] == 3:
+        return BIG_COMPONENT, None
+    raise ClassificationFailed(
+        f"component (n={n}, m={m}, degrees={degs}) matches no case")
+
 
 def bridge_decompose(g: MultiGraph,
                      bridges: Optional[BridgeSet] = None) -> BridgeDecomposition:
-    """Components of g minus its bridges, with the rooted bridge tree.
+    """Components of g minus its bridges, typed, with the rooted bridge tree.
 
-    `bridges` is the bridge set of g, found here when not given.  The tree
-    is rooted at the smallest component index whose eccentricity equals the
-    tree's diameter (a leaf on a longest path), and every non-root component
-    records the bridge to its parent.
+    `bridges` is the bridge set of g, found here when not given.  Every
+    component is a K3, a diamond or a big component (n >= 5, maximum degree
+    3); any other shape raises ClassificationFailed.  A component of g minus
+    its bridges is 2-edge-connected by definition, so that is not checked
+    again.  The tree is rooted at the smallest component index whose
+    eccentricity equals the tree's diameter (a leaf on a longest path), and
+    every non-root component records the bridge to its parent.
 
     The work is linear in m.  One sweep over the edges splits them into
     components, and three BFS passes give every eccentricity: a is a node
     farthest from node 0, b a node farthest from a, and in a tree
-    ecc(v) = max(d(a, v), d(b, v)).
+    ecc(v) = max(d(a, v), d(b, v)).  No component graph is built; see
+    `BridgeDecomposition.component_graph`.
     """
     if bridges is None:
         bridges = find_bridges(g)
@@ -604,9 +623,8 @@ def bridge_decompose(g: MultiGraph,
     for eid in g.edge_ids:
         if eid not in bridges:
             edge_maps[part[g.endpoints(eid)[0]]].append(eid)
-    components = tuple(
-        build_graph([g.endpoints(eid) for eid in emap], vertices=verts)
-        for emap, verts in zip(edge_maps, groups))
+    kinds, diamonds = zip(*(_component_shape(g, verts, emap)
+                            for verts, emap in zip(groups, edge_maps)))
 
     adj: List[Set[int]] = [set() for _ in range(c)]
     tree_edges: Dict[Tuple[int, int], EdgeId] = {}
@@ -656,26 +674,10 @@ def bridge_decompose(g: MultiGraph,
     assert all(up[i] is not None for i in range(c) if i != root)
 
     return BridgeDecomposition(
-        bridges=bridges, components=components,
+        bridges=bridges, vertices=tuple(tuple(vs) for vs in groups),
+        kinds=kinds, diamonds=diamonds,
         edge_maps=tuple(tuple(emap) for emap in edge_maps), tree=tree,
         root=root, levels=tuple(levels), up_edges=tuple(up))
-
-
-def classify_component(g_i: MultiGraph) -> str:
-    """One of the three shapes a bridge-tree component can have."""
-    degs = g_i.degree_sequence()
-    if g_i.n == 3 and g_i.m == 3 and degs == (2, 2, 2) and g_i.is_simple():
-        return K3_COMPONENT
-    if g_i.n == 4 and g_i.m == 5 and degs == (2, 2, 3, 3) and g_i.is_simple():
-        internal = [v for v in g_i.vertices if g_i.degree(v) == 3]
-        external = [v for v in g_i.vertices if g_i.degree(v) == 2]
-        if g_i.has_edge(*internal) and not g_i.has_edge(*external) and all(
-                g_i.has_edge(x, z) for x in external for z in internal):
-            return DIAMOND_COMPONENT
-    if g_i.n >= 5 and max(degs) == 3 and is_two_edge_connected(g_i):
-        return BIG_COMPONENT
-    raise ClassificationFailed(
-        f"component (n={g_i.n}, m={g_i.m}, degrees={degs}) matches no case")
 
 
 # ---------------------------------------------------------------------------

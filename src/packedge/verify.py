@@ -51,12 +51,6 @@ class PackingSpec:
             run[v] = run.get(v, 0) + 1
         return tuple(out)
 
-    def class_of_label(self, label: str) -> int:
-        try:
-            return self.labels().index(label)
-        except ValueError:
-            raise BadSpec(f"label {label!r} not in spec {self.s}") from None
-
 
 DEFAULT_SPEC = PackingSpec()
 
@@ -76,13 +70,15 @@ def verify(g: MultiGraph, coloring: Dict[EdgeId, str],
 
     Raises PartialColoring when some edge of g has no color.
     """
-    labels = spec.labels()
-    by_class: List[List[EdgeId]] = [[] for _ in labels]
+    class_of = {label: ci for ci, label in enumerate(spec.labels())}
+    by_class: List[List[EdgeId]] = [[] for _ in class_of]
     for eid in g.edge_ids:
         label = coloring.get(eid)
         if label is None:
             raise PartialColoring(f"edge {eid} unassigned")
-        by_class[spec.class_of_label(label)].append(eid)
+        if label not in class_of:
+            raise BadSpec(f"label {label!r} not in spec {spec.s}")
+        by_class[class_of[label]].append(eid)
 
     out: List[Violation] = []
     for ci, members in enumerate(by_class):

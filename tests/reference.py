@@ -1,0 +1,74 @@
+"""Definitional reference implementations the tests compare against.
+
+None of these is used by the coloring pipeline; each is the slow, obvious
+version of something the library computes another way.
+"""
+
+from packedge.graph import INFINITE, MultiGraph
+from packedge.structure import _strings_of, find_diamonds
+
+
+def find_bridges_bruteforce(g):
+    """Definitional bridge finder: delete each edge, count components."""
+    base = len(g.connected_components())
+    out = set()
+    for eid in g.edge_ids:
+        reduced = MultiGraph(
+            [g.endpoints(f) for f in g.edge_ids if f != eid],
+            vertices=g.vertices)
+        if len(reduced.connected_components()) > base:
+            out.add(eid)
+    return frozenset(out)
+
+
+def edge_distance(g, e, f):
+    """Distance between two edges: number of hops between them in edge space.
+
+    0 iff e == f, 1 for edges sharing an endpoint, and generally one more
+    than the smallest vertex distance between an endpoint of e and one of f.
+    Returns INFINITE when e and f lie in different components.
+    """
+    g.endpoints(e)
+    g.endpoints(f)
+    if e == f:
+        return 0
+    dist = {e: 0}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for end in g.endpoints(cur):
+                for adj, _ in g.incident(end):
+                    if adj not in dist:
+                        dist[adj] = dist[cur] + 1
+                        if adj == f:
+                            return dist[adj]
+                        nxt.append(adj)
+        frontier = nxt
+    return INFINITE
+
+
+def line_graph(g):
+    """Simple graph with one vertex per edge of g; adjacency = shared endpoint."""
+    pairs = set()
+    for v in g.vertices:
+        incident = [eid for eid, _ in g.incident(v)]
+        for i, e in enumerate(incident):
+            for f in incident[i + 1:]:
+                if e != f:
+                    pairs.add((min(e, f), max(e, f)))
+    return MultiGraph(sorted(pairs), vertices=g.edge_ids)
+
+
+def collect_diamond_strings(g):
+    """The diamonds of g grouped into maximal strings."""
+    return _strings_of(g, find_diamonds(g))
+
+
+def induced_subgraph(g, keep):
+    """Subgraph on `keep`; second value maps new edge ids to old ones."""
+    keep = set(keep)
+    kept_edges = [eid for eid, (u, v) in enumerate(g.edge_list())
+                  if u in keep and v in keep]
+    sub = MultiGraph([g.endpoints(eid) for eid in kept_edges], vertices=keep)
+    return sub, tuple(kept_edges)

@@ -13,8 +13,7 @@ import pytest
 from packedge.coloring import COLOR_3A, color_graph
 from packedge.families import (enumerate_cubic_multigraphs, gen_leaf7_pair,
                                gen_petersen, gen_ring, gen_tietze)
-from packedge.graph import (INFINITE, are_isomorphic_small, edge_distance,
-                            line_graph)
+from packedge.graph import INFINITE, are_isomorphic_small, edge_distances_from
 from packedge.matching import two_factor_containing
 from packedge.oracle import FEASIBLE, INFEASIBLE, oracle_color
 from packedge.recognize import is_cubic
@@ -22,6 +21,7 @@ from packedge.structure import SUBSTITUTED, find_diamonds, oum_decompose, recons
 from packedge.verify import PackingSpec, verify
 
 from conftest import random_connected_graph
+from reference import edge_distance, line_graph
 
 SPEC_1113 = PackingSpec((1, 1, 1, 3))
 SPEC_1112 = PackingSpec((1, 1, 1, 2))
@@ -160,13 +160,16 @@ def test_criterion_08_distance_oracle():
         lg = line_graph(g)
         for e in g.edge_ids:
             bfs = lg.vertex_distances(e)
+            lib = edge_distances_from(g, e)
             for f in g.edge_ids:
                 expected = 0 if e == f else bfs.get(f, INFINITE)
-                if edge_distance(g, e, f) != expected:
+                if edge_distance(g, e, f) != expected or \
+                        lib.get(f, INFINITE) != expected:
                     mismatches += 1
                 pairs += 1
     report(8, mismatches == 0,
-           f"edge_distance vs line-graph BFS on 50 random graphs: "
+           f"edge_distance and edge_distances_from vs line-graph BFS on "
+           f"50 random graphs: "
            f"{pairs} pairs, {mismatches} mismatches")
 
 

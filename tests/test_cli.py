@@ -3,6 +3,7 @@ import json
 from packedge.cli import main
 from packedge.formats import parse_coloring, write_edge_list, write_graph6
 from packedge.families import gen_petersen, gen_ring
+from packedge.graph import build_graph
 
 
 def run(capsys, *argv):
@@ -109,6 +110,34 @@ def test_decompose_bridged(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["kind"] == "bridge-tree"
     assert len(doc["components"]) == 2
+    for i, comp in enumerate(doc["components"]):
+        assert comp["index"] == i
+        assert comp["kind"] == "big"
+        assert comp["vertices"] == list(range(7 * i, 7 * i + 7))
+        assert comp["edges"] == 10
+    assert doc["bridges"] == [20]
+
+
+def test_decompose_bridged_kinds(tmp_path, capsys):
+    from packedge.families import BridgedPlan, gen_bridged
+    g = gen_bridged(BridgedPlan(parents=(0, 0, 0, 1), recipes=(
+        ("k3",), ("diamond",), ("big", (1,)), ("big", (1,)), ("big", (1,)))))
+    graph_file = tmp_path / "tree.json"
+    graph_file.write_text(write_edge_list(g))
+    code, out, _ = run(capsys, "decompose", str(graph_file))
+    assert code == 0
+    comps = json.loads(out)["components"]
+    assert sorted(c["kind"] for c in comps) == ["big"] * 3 + ["diamond", "k3"]
+    for c in comps:
+        assert (len(c["vertices"]), c["edges"]) == \
+            {"k3": (3, 3), "diamond": (4, 5)}.get(c["kind"], (7, 10))
+
+
+def test_decompose_unclassifiable_component_is_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "path.json"
+    graph_file.write_text(write_edge_list(build_graph([(0, 1), (1, 2)])))
+    code, _, err = run(capsys, "decompose", str(graph_file))
+    assert code == 2 and "matches no case" in err
 
 
 def test_gen_graph6_format(capsys):

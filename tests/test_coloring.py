@@ -19,12 +19,13 @@ from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_bridged, BridgedPlan, gen_leaf7,
                                gen_petersen, gen_random_clawfree_cubic,
                                gen_ring, gen_substituted)
-from packedge.graph import build_graph, edge_distance
+from packedge.graph import build_graph
 from packedge.matching import two_factor_containing
-from packedge.structure import (BIG_COMPONENT, bridge_decompose, build_tilde,
-                                classify_component, component_boundary,
-                                collect_diamond_strings, oum_decompose)
+from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
+                                build_tilde, component_boundary, oum_decompose)
 from packedge.verify import verify
+
+from reference import collect_diamond_strings, edge_distance
 
 # the package's `verify` attribute is the function, not the module
 verify_mod = importlib.import_module("packedge.verify")
@@ -284,9 +285,10 @@ def test_anchored_odd_cycles():
 def test_anchored_odd_boundary_components(seed):
     g = gen_random_clawfree_cubic(seed, bridged=True)
     bd = bridge_decompose(g)
-    for idx, comp in enumerate(bd.components):
-        if classify_component(comp) != BIG_COMPONENT:
+    for idx, kind in enumerate(bd.kinds):
+        if kind != BIG_COMPONENT:
             continue
+        comp = bd.component_graph(g, idx)
         up = bd.up_edges[idx]
         boundary = component_boundary(comp, up.p if up is not None else None)
         if boundary.r % 2 == 0:
@@ -391,10 +393,8 @@ def test_color_graph_k3_hub():
     col = color_graph(g)
     assert verify(g, col) == []
     # the K3 edges carry three distinct matching colors
-    from packedge.structure import bridge_decompose, K3_COMPONENT, classify_component
     bd = bridge_decompose(g)
-    hub = next(i for i, c in enumerate(bd.components)
-               if classify_component(c) == K3_COMPONENT)
+    hub = bd.kinds.index(K3_COMPONENT)
     hub_colors = {col[g_eid] for g_eid in bd.edge_maps[hub]}
     assert hub_colors == set(ONE_COLORS)
     for eid in bd.bridges:
@@ -434,13 +434,12 @@ def test_degree2_edges_one_colored_everywhere():
     for seed in range(4):
         g = gen_random_clawfree_cubic(800 + seed, bridged=True)
         col = color_graph(g)
-        from packedge.structure import bridge_decompose
         bd = bridge_decompose(g)
-        for i, comp in enumerate(bd.components):
-            for v in comp.vertices:
-                if comp.degree(v) == 2:
-                    for comp_eid in comp.incident_edges(v):
-                        assert col[bd.edge_maps[i][comp_eid]] in ONE_COLORS
+        for verts, emap in zip(bd.vertices, bd.edge_maps):
+            for v in verts:
+                own = [eid for eid in emap if v in g.endpoints(eid)]
+                if len(own) == 2:
+                    assert all(col[eid] in ONE_COLORS for eid in own)
 
 
 def test_sub_dipole_cycle_alternates_six(dipole):

@@ -4,10 +4,11 @@ import networkx as nx
 import pytest
 
 from packedge.graph import (INFINITE, LoopRejected, TooLarge, UnknownEdge,
-                            are_isomorphic_small, build_graph, edge_distance,
-                            line_graph)
+                            are_isomorphic_small, build_graph,
+                            edge_distances_from)
 
 from conftest import random_connected_graph
+from reference import edge_distance, line_graph
 
 
 def line_graph_bfs_distance(g, e, f):
@@ -86,8 +87,10 @@ def test_distance_matches_line_graph_bfs(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, max_n=30)
     for e in g.edge_ids:
+        dist = edge_distances_from(g, e)
         for f in g.edge_ids:
             assert edge_distance(g, e, f) == line_graph_bfs_distance(g, e, f)
+            assert dist.get(f, INFINITE) == line_graph_bfs_distance(g, e, f)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])

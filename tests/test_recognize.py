@@ -5,10 +5,11 @@ import pytest
 
 from packedge.families import gen_random_clawfree_cubic
 from packedge.graph import build_graph
-from packedge.recognize import (find_bridges, find_bridges_bruteforce,
-                                find_claw, is_cubic, is_two_edge_connected)
+from packedge.recognize import (find_bridges, find_claw, is_cubic,
+                                is_two_edge_connected)
 
 from conftest import random_connected_graph
+from reference import find_bridges_bruteforce
 
 
 def brute_force_claws(g):

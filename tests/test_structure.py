@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import bushy_tree, diamond_path
+from reference import induced_subgraph
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_big_component, gen_bridged, BridgedPlan,
                                gen_random_clawfree_cubic, gen_ring,
@@ -14,8 +15,8 @@ from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
                                 ClaimViolation, ClassificationFailed, Diamond,
                                 NoBridges, UpEdge, bridge_decompose,
-                                build_tilde, classify_component,
-                                component_boundary, detect_ring_of_diamonds,
+                                build_tilde, component_boundary,
+                                detect_ring_of_diamonds,
                                 find_diamonds, is_k4, oum_decompose,
                                 reconstruct)
 
@@ -61,6 +62,32 @@ def find_diamonds_reference(g):
     return out
 
 
+def classify_reference(sub):
+    """The shape of one component, from its own graph: K3, diamond, or a
+    2-edge-connected component on five or more vertices of maximum degree
+    three."""
+    degs = sub.degree_sequence()
+    if sub.n == 3 and sub.m == 3 and degs == (2, 2, 2) and sub.is_simple():
+        return K3_COMPONENT
+    if sub.n == 4 and sub.m == 5 and degs == (2, 2, 3, 3) and sub.is_simple():
+        internal = [v for v in sub.vertices if sub.degree(v) == 3]
+        external = [v for v in sub.vertices if sub.degree(v) == 2]
+        if sub.has_edge(*internal) and not sub.has_edge(*external) and all(
+                sub.has_edge(x, z) for x in external for z in internal):
+            return DIAMOND_COMPONENT
+    if sub.n >= 5 and max(degs) == 3 and is_two_edge_connected(sub):
+        return BIG_COMPONENT
+    raise ClassificationFailed(f"no case for {sub}")
+
+
+def diamond_reference(sub, emap):
+    """The single diamond of a diamond component, in the parent's edge ids."""
+    (d,) = find_diamonds_reference(sub)
+    return Diamond(internal=d.internal, external=d.external,
+                   internal_edge=emap[d.internal_edge],
+                   edges=frozenset(emap[e] for e in d.edges))
+
+
 def bridge_decompose_reference(g):
     """The fields of `bridge_decompose(g)`, from one induced subgraph per
     component and a BFS from every bridge-tree node."""
@@ -70,7 +97,8 @@ def bridge_decompose_reference(g):
     groups = sorted((sorted(c) for c in rest.connected_components()),
                     key=lambda vs: vs[0])
     part = {v: i for i, vs in enumerate(groups) for v in vs}
-    subs = [g.induced_subgraph(vs) for vs in groups]
+    subs = [induced_subgraph(g, vs) for vs in groups]
+    kinds = tuple(classify_reference(sub) for sub, _ in subs)
     c = len(groups)
     tg = build_graph([[part[v] for v in g.endpoints(e)] for e in bridges],
                      vertices=range(c))
@@ -93,15 +121,27 @@ def bridge_decompose_reference(g):
         up.append(UpEdge(p=p, q=q, bridge=bridge))
     return dict(bridges=bridges,
                 components=[(sub.vertices, sub.edge_list()) for sub, _ in subs],
+                vertices=tuple(sub.vertices for sub, _ in subs), kinds=kinds,
+                diamonds=tuple(
+                    diamond_reference(sub, emap)
+                    if kind == DIAMOND_COMPONENT else None
+                    for (sub, emap), kind in zip(subs, kinds)),
                 edge_maps=tuple(emap for _, emap in subs), tree=tree,
                 root=root, levels=tuple(levels), up_edges=tuple(up))
 
 
-def bridge_fields(bd):
+def bridge_fields(g, bd):
+    graphs = [bd.component_graph(g, i) for i in range(len(bd.vertices))]
     return dict(bridges=bd.bridges,
-                components=[(c.vertices, c.edge_list()) for c in bd.components],
+                components=[(c.vertices, c.edge_list()) for c in graphs],
+                vertices=bd.vertices, kinds=bd.kinds, diamonds=bd.diamonds,
                 edge_maps=bd.edge_maps, tree=bd.tree, root=bd.root,
                 levels=bd.levels, up_edges=bd.up_edges)
+
+
+def own_degree(g, emap, v):
+    """Degree of v within the component whose G edge ids are `emap`."""
+    return sum(1 for eid in emap if v in g.endpoints(eid))
 
 
 def seeded_tree(kind, size):
@@ -123,7 +163,7 @@ def test_bridge_decompose_matches_reference_on_corpus(corpus):
     bridged = [e for e in corpus if find_bridges(e.graph)]
     assert len(bridged) >= 100
     for entry in bridged:
-        assert bridge_fields(bridge_decompose(entry.graph)) == \
+        assert bridge_fields(entry.graph, bridge_decompose(entry.graph)) == \
             bridge_decompose_reference(entry.graph), entry.name
 
 
@@ -131,7 +171,8 @@ def test_bridge_decompose_matches_reference_on_corpus(corpus):
 def test_structure_matches_references_on_seeded_trees(kind, size):
     g = seeded_tree(kind, size)
     assert find_diamonds(g) == find_diamonds_reference(g)
-    assert bridge_fields(bridge_decompose(g)) == bridge_decompose_reference(g)
+    assert bridge_fields(g, bridge_decompose(g)) == \
+        bridge_decompose_reference(g)
 
 
 # -- diamonds ----------------------------------------------------------------
@@ -287,14 +328,14 @@ def test_k4_with_string_is_a_ring(k4):
 
 def test_bridge_decompose_leaf_pair(leaf7_pair):
     bd = bridge_decompose(leaf7_pair)
-    assert len(bd.components) == 2
+    assert len(bd.vertices) == 2
     assert bd.tree in ((((1,), (0,))), ((1,), (0,)))
     assert sorted(bd.levels) == [0, 1]
     child = 1 - bd.root
     up = bd.up_edges[child]
     assert up is not None and up.bridge in bd.bridges
-    assert bd.components[child].has_vertex(up.p)
-    assert bd.components[bd.root].has_vertex(up.q)
+    assert up.p in bd.vertices[child]
+    assert up.q in bd.vertices[bd.root]
     assert bd.up_edges[bd.root] is None
 
 
@@ -304,25 +345,23 @@ def test_bridge_decompose_k3_hub():
                                 ("big", (1,))))
     g = gen_bridged(plan)
     bd = bridge_decompose(g)
-    assert len(bd.bridges) == 3 and len(bd.components) == 4
-    kinds = sorted(classify_component(c) for c in bd.components)
-    assert kinds == [BIG_COMPONENT] * 3 + [K3_COMPONENT]
-    hub = next(i for i, c in enumerate(bd.components)
-               if classify_component(c) == K3_COMPONENT)
+    assert len(bd.bridges) == 3 and len(bd.vertices) == 4
+    assert sorted(bd.kinds) == [BIG_COMPONENT] * 3 + [K3_COMPONENT]
+    hub = bd.kinds.index(K3_COMPONENT)
     assert len(bd.tree[hub]) == 3
-    assert classify_component(bd.components[bd.root]) == BIG_COMPONENT
+    assert bd.kinds[bd.root] == BIG_COMPONENT
 
 
 def test_bridge_decompose_component_count_matches_bridges():
     for seed in range(6):
         g = gen_random_clawfree_cubic(500 + seed, bridged=True)
         bd = bridge_decompose(g)
-        assert len(bd.components) == len(bd.bridges) + 1
+        assert len(bd.vertices) == len(bd.bridges) + 1
         # tree leaves are big components with exactly one degree-2 vertex
-        for i, comp in enumerate(bd.components):
+        for i, (verts, emap) in enumerate(zip(bd.vertices, bd.edge_maps)):
             if len(bd.tree[i]) == 1:
-                assert classify_component(comp) == BIG_COMPONENT
-                deg2 = [v for v in comp.vertices if comp.degree(v) == 2]
+                assert bd.kinds[i] == BIG_COMPONENT
+                deg2 = [v for v in verts if own_degree(g, emap, v) == 2]
                 assert len(deg2) == 1
 
 
@@ -341,7 +380,37 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
         monkeypatch.setattr(mod, "find_bridges", counted)
     coloring.color_graph(g)
     assert sum(1 for h in searched if h is g) == 1
-    assert len(searched) > 1        # components and tildes keep their checks
+    assert len(searched) > 1        # only tildes keep their checks
+
+
+def test_component_shapes_come_from_bridge_decompose(monkeypatch):
+    import sys
+    import packedge.coloring as coloring
+    import packedge.structure as structure
+    g = diamond_path(random.Random(3), 400)
+    scans = counting_find_diamonds(monkeypatch)
+    callers = []
+    real_2ec = structure.is_two_edge_connected
+
+    def counted(h):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_2ec(h)
+    monkeypatch.setattr(structure, "is_two_edge_connected", counted)
+    tildes = []
+    real_tilde = structure.build_tilde
+
+    def recorded(*args):
+        tc = real_tilde(*args)
+        tildes.append(tc.tilde)
+        return tc
+    monkeypatch.setattr(coloring, "build_tilde", recorded)
+    coloring.color_graph(g)
+    # one scan per big component (both leaves), none per diamond; a K4
+    # tilde is recognised before any scan
+    assert len(tildes) == 2
+    assert scans == [t for t in tildes if not is_k4(t)]
+    assert 1 <= len(scans) <= 2
+    assert callers == ["build_tilde"] * 2
 
 
 def test_two_thousand_diamond_path():
@@ -349,7 +418,8 @@ def test_two_thousand_diamond_path():
     g = diamond_path(random.Random(5), 2000)
     assert g.m == 12039
     bd = bridge_decompose(g)
-    assert len(bd.components) == 2002
+    assert len(bd.vertices) == 2002
+    assert bd.kinds.count(DIAMOND_COMPONENT) == 2000
     owned = sorted(list(bd.bridges) + [e for emap in bd.edge_maps for e in emap])
     assert owned == list(g.edge_ids)
     col = color_graph(g)            # raises ColoringFailed if verify rejects
@@ -364,24 +434,50 @@ def test_bridge_decompose_bridgeless_raises(k4):
 # -- classification ----------------------------------------------------------
 
 def test_classify_k3():
-    assert classify_component(build_graph([(0, 1), (1, 2), (0, 2)])) \
-        == K3_COMPONENT
+    bd = bridge_decompose(gen_bridged(BridgedPlan(
+        parents=(0, 0, 0),
+        recipes=(("k3",), ("big", (1,)), ("big", (1,)), ("big", (1,))))))
+    hub = bd.kinds.index(K3_COMPONENT)
+    assert len(bd.vertices[hub]) == len(bd.edge_maps[hub]) == 3
+    assert bd.diamonds[hub] is None
 
 
 def test_classify_diamond():
-    d = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert classify_component(d) == DIAMOND_COMPONENT
+    g = gen_bridged(BridgedPlan(parents=(0, 1), recipes=(
+        ("big", (1,)), ("diamond",), ("big", (1,)))))
+    bd = bridge_decompose(g)
+    assert bd.kinds.count(DIAMOND_COMPONENT) == 1
+    i = bd.kinds.index(DIAMOND_COMPONENT)
+    d = bd.diamonds[i]
+    emap = bd.edge_maps[i]
+    assert d.edges == frozenset(emap) and len(emap) == 5
+    assert d.vertices == frozenset(bd.vertices[i])
+    assert sorted(g.endpoints(d.internal_edge)) == list(d.internal)
+    assert all(own_degree(g, emap, z) == 3 for z in d.internal)
+    assert all(own_degree(g, emap, x) == 2 for x in d.external)
+    assert not any(set(g.endpoints(e)) == set(d.external) for e in emap)
+    assert [bd.diamonds[j] for j in range(3) if j != i] == [None, None]
 
 
-def test_classify_leaf7(leaf7):
-    assert classify_component(leaf7) == BIG_COMPONENT
-    assert sum(1 for v in leaf7.vertices if leaf7.degree(v) == 2) == 1
+def test_classify_leaf7(leaf7, leaf7_pair):
+    bd = bridge_decompose(leaf7_pair)
+    assert bd.kinds == (BIG_COMPONENT, BIG_COMPONENT)
+    assert bd.diamonds == (None, None)
+    for verts, emap in zip(bd.vertices, bd.edge_maps):
+        assert len(verts) == leaf7.n and len(emap) == leaf7.m
+        assert sum(1 for v in verts
+                   if own_degree(leaf7_pair, emap, v) == 2) == 1
 
 
-def test_classify_rejects_cycle():
-    c5 = build_graph([(i, (i + 1) % 5) for i in range(5)])
+def test_classify_rejects_cycle(leaf7):
+    # a C5 joined by one bridge to a leaf7: the C5 is neither K3, diamond
+    # nor big (its vertices keep degree 2 inside it)
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    leaf = [(u + 5, v + 5) for u, v in leaf7.edge_list()]
+    g = build_graph(c5 + leaf + [(0, 5)])
+    assert find_bridges(g) == frozenset({len(c5) + len(leaf)})
     with pytest.raises(ClassificationFailed):
-        classify_component(c5)
+        bridge_decompose(g)
 
 
 # -- boundary and tilde ------------------------------------------------------
@@ -445,9 +541,10 @@ def test_tilde_always_clawfree_cubic_2ec():
     for seed in range(5):
         g = gen_random_clawfree_cubic(600 + seed, bridged=True)
         bd = bridge_decompose(g)
-        for i, comp in enumerate(bd.components):
-            if classify_component(comp) != BIG_COMPONENT:
+        for i, kind in enumerate(bd.kinds):
+            if kind != BIG_COMPONENT:
                 continue
+            comp = bd.component_graph(g, i)
             up = bd.up_edges[i]
             b = component_boundary(comp, up.p if up else None)
             tc = build_tilde(comp, b)

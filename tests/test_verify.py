@@ -3,11 +3,12 @@ import random
 import pytest
 
 from packedge.coloring import color_k4
-from packedge.graph import build_graph, edge_distance
+from packedge.graph import build_graph
 from packedge.verify import (BadSpec, DEFAULT_SPEC, PackingSpec,
                              PartialColoring, verify)
 
 from conftest import random_connected_graph
+from reference import edge_distance
 
 
 def brute_force_violations(g, coloring, spec):
