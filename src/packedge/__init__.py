@@ -7,10 +7,9 @@ distance at least four.  This package builds such colorings constructively
 exhaustive oracle for cross-checking on small graphs.
 """
 
-from .coloring import (ColorStats, ColoringFailed, apply_permutation,
-                       color_2ec, color_2ec_anchored, color_component,
-                       color_graph, color_graph_with_stats, color_k4,
-                       color_ring, COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A)
+from .coloring import (ColoringFailed, apply_permutation, color_2ec,
+                       color_component, color_graph, color_k4, COLOR_1A,
+                       COLOR_1B, COLOR_1C, COLOR_3A)
 from .graph import (EdgeId, GraphError, INFINITE, MultiGraph, VertexId,
                     are_isomorphic_small, build_graph)
 from .matching import TwoFactor, perfect_matching_avoiding, two_factor_containing
@@ -20,9 +19,8 @@ from .recognize import (ClawWitness, find_bridges, find_claw, is_cubic,
                         is_two_edge_connected)
 from .structure import (BridgeDecomposition, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, component_boundary,
-                        detect_ring_of_diamonds, find_diamonds, oum_decompose,
-                        reconstruct)
-from .verify import PackingSpec, Violation, verify, is_valid_coloring
+                        build_tilde, component_boundary, find_diamonds,
+                        oum_decompose, reconstruct)
+from .verify import PackingSpec, Violation, verify
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import corpus as corpus_mod
-from .coloring import COLOR_3A, ColorStats, color_graph
+from .coloring import COLOR_3A, color_graph
 from .families import (gen_k4, gen_leaf7, gen_leaf7_pair, gen_petersen,
                        gen_random_clawfree_cubic, gen_ring, gen_tietze)
 from .formats import (parse_coloring, parse_edge_list, parse_graph6,
@@ -26,11 +26,16 @@ from .oracle import DEFAULT_BUDGET, FEASIBLE, INFEASIBLE, oracle_color
 from .recognize import find_bridges, find_claw, is_cubic, is_two_edge_connected
 from .structure import (RING_OF_DIAMONDS, SUBSTITUTED, bridge_decompose,
                         oum_decompose)
-from .verify import PackingSpec, verify
+from .verify import BadSpec, PackingSpec, verify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_RESOURCE = 2
+
+
+class BadSeedRange(GraphError):
+    """--seeds is not of the form LO..HI with LO <= HI."""
+
 
 GENERATORS = {
     "k4": lambda args: gen_k4(),
@@ -59,7 +64,12 @@ def _load_graph(path: str) -> MultiGraph:
 
 
 def _parse_spec(text: str) -> PackingSpec:
-    return PackingSpec(tuple(int(x) for x in text.split(",")))
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise BadSpec(f"spec {text!r} is not a comma-separated list of "
+                      "integers") from None
+    return PackingSpec(values)
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -118,11 +128,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_color(args) -> int:
     g = _load_graph(args.graph)
-    stats = ColorStats()
-    coloring = color_graph(g, stats)   # verified; raises ColoringFailed if not
+    coloring = color_graph(g)   # verified; raises ColoringFailed if not
     meta = {
         "three_a_edges": sum(1 for c in coloring.values() if c == COLOR_3A),
-        "backtracks": stats.backtracks,
         "valid": True,
     }
     doc = write_coloring(g, coloring, meta)
@@ -177,7 +185,13 @@ def cmd_gen(args) -> int:
 
 def _parse_seed_range(text: str) -> range:
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    try:
+        seeds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        seeds = None
+    if not seeds:
+        raise BadSeedRange(f"seed range {text!r} is not LO..HI with LO <= HI")
+    return seeds
 
 
 def cmd_corpus(args) -> int:

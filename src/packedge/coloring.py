@@ -18,12 +18,14 @@ The construction works case by case over the structure decomposition:
   parent endpoint and each child permuting its three matching colors to
   agree.
 
-Every free choice has one deterministic answer: an even cycle puts 1a on
-its connector of smallest canonical key, an odd cycle spends its 3a on that
-connector (the anchored variant: on the smallest one an odd number of steps
-before the anchor), a string standing in for the 3a connector takes the 3a
-at its entry end, and the odd-boundary patch follows the farther rule with
-ties on the w-b side.  The construction leaves nothing to retry, so
+Every free choice has one deterministic answer.  Each lifted cycle is
+colored from one start connector, its smallest by canonical key, which
+takes 1a on an even cycle and the single 3a on an odd one; the cycle
+alternates from there.  An anchor edge moves only its own cycle's start: to
+the anchor on an even cycle, to the smallest connector an odd number of
+steps before it on an odd one.  A string standing in for the 3a connector
+takes the 3a at its entry end, and the odd-boundary patch follows the
+farther rule with ties on the w-b side.  Nothing is left to retry, so
 `color_graph` checks the finished coloring once with `verify`; a rejection
 is an internal bug and raises `ColoringFailed` with the violations.
 """
@@ -38,9 +40,8 @@ from .matching import two_factor_containing
 from .recognize import BridgeSet, find_bridges, find_claw, is_cubic
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
                         RING_OF_DIAMONDS, ComponentBoundary, Diamond,
-                        DiamondString, OumDecomposition, _ring_size,
-                        bridge_decompose, build_tilde, component_boundary,
-                        find_diamonds, is_k4, oum_decompose)
+                        DiamondString, OumDecomposition, bridge_decompose,
+                        build_tilde, component_boundary, is_k4, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
@@ -55,14 +56,6 @@ EdgeColoring = Dict[EdgeId, str]
 
 class NotK4(GraphError):
     pass
-
-
-class NotRing(GraphError):
-    pass
-
-
-class BadAnchor(GraphError):
-    """The 3a anchor is not a connector slot of the given cycle."""
 
 
 class BadContext(GraphError):
@@ -95,13 +88,6 @@ class ColoringFailed(GraphError):
         self.violations = violations
 
 
-@dataclass
-class ColorStats:
-    """Diagnostics of `color_graph`: `backtracks` counts the colorings its
-    boundary check rejected, each of which raised ColoringFailed."""
-    backtracks: int = 0
-
-
 def apply_permutation(coloring: EdgeColoring,
                       perm: Dict[str, str]) -> EdgeColoring:
     """Relabel the three matching colors; 3a edges are untouched."""
@@ -118,7 +104,7 @@ def _swap_perm(a: str, b: str) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# base cases: K4 and rings of diamonds
+# base cases: K4 and diamonds
 # ---------------------------------------------------------------------------
 
 def color_k4(g: MultiGraph, anchor: Optional[EdgeId] = None) -> EdgeColoring:
@@ -143,15 +129,6 @@ def color_k4(g: MultiGraph, anchor: Optional[EdgeId] = None) -> EdgeColoring:
         for eid in pair:
             out[eid] = color
     return out
-
-
-def color_ring(g: MultiGraph, k: Optional[int] = None) -> EdgeColoring:
-    """Ring-of-diamonds scheme: external pairs 1a/1b, everything else 1c."""
-    diamonds = find_diamonds(g)
-    found = _ring_size(g, diamonds)
-    if found is None or (k is not None and found != k):
-        raise NotRing(f"not a ring of {k or 'any'} diamonds")
-    return _diamonds_coloring(g, diamonds, g.edge_ids)
 
 
 def _diamonds_coloring(g: MultiGraph, diamonds: Sequence[Diamond],
@@ -245,41 +222,30 @@ def _expand_cycle(g: MultiGraph, dec: OumDecomposition,
                          tuple(chords), tuple(slots))
 
 
-def _virtual_colors(cycle: ExpandedCycle, anchor_slot: Optional[int],
-                    phase: int) -> List[str]:
+def _virtual_colors(cycle: ExpandedCycle, start: int) -> List[str]:
     """Colors of the 3m virtual positions of a lifted cycle.
 
-    Even cycles alternate 1a/1b with the given phase; odd cycles put 3a on
-    the anchor connector and alternate 1a/1b along the remaining path,
-    starting with 1a right after the anchor.
+    Connector `start` takes 1a on an even cycle and the 3a on an odd one;
+    from there the cycle alternates, 1b then 1a on an even cycle, 1a then
+    1b on an odd one, so both neighbors of the 3a are matching colors.
     """
     total = 3 * cycle.m
-    if anchor_slot is None:
-        if cycle.odd:
-            raise BadAnchor("odd cycle needs a 3a anchor")
-        return [COLOR_1A if (i - phase) % 2 == 0 else COLOR_1B
-                for i in range(total)]
-    if not 0 <= anchor_slot < cycle.m:
-        raise BadAnchor(f"slot {anchor_slot} outside cycle of length {cycle.m}")
-    if not cycle.odd:
-        raise BadAnchor("even cycles take no 3a anchor")
-    p_anchor = 3 * anchor_slot + 2
-    colors = [""] * total
-    colors[p_anchor] = COLOR_3A
-    for j in range(1, total):
-        colors[(p_anchor + j) % total] = COLOR_1A if j % 2 else COLOR_1B
-    return colors
+    run = [COLOR_1A, COLOR_1B] * (total // 2)
+    if cycle.odd:
+        run.insert(0, COLOR_3A)
+    p = 3 * start + 2
+    return [run[(i - p) % total] for i in range(total)]
 
 
-def color_cycle(cycle: ExpandedCycle, anchor_slot: Optional[int] = None,
-                phase: int = 0) -> Tuple[EdgeColoring, Dict[int, str]]:
-    """Color the real edges of one expanded cycle.
+def color_cycle(cycle: ExpandedCycle, start: int
+                ) -> Tuple[EdgeColoring, Dict[int, str]]:
+    """Color the real edges of one expanded cycle from connector `start`.
 
     Returns the partial coloring (triangle edges plus plain connectors; the
     chords are left to the matching color) and the virtual color of every
     string-realized connector, keyed by H-edge id.
     """
-    virtual = _virtual_colors(cycle, anchor_slot, phase)
+    virtual = _virtual_colors(cycle, start)
     out: EdgeColoring = {}
     string_colors: Dict[int, str] = {}
     for t in range(cycle.m):
@@ -349,12 +315,11 @@ def color_string(g: MultiGraph, string: DiamondString,
 
 def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
                           cycles: Sequence[ExpandedCycle],
-                          choices: Sequence[Tuple[Optional[int], int]]
-                          ) -> EdgeColoring:
-    """The complete coloring for one (anchor slot, phase) choice per cycle."""
+                          starts: Sequence[int]) -> EdgeColoring:
+    """The complete coloring for one start connector per cycle."""
     coloring: EdgeColoring = {}
-    for cycle, (anchor_slot, phase) in zip(cycles, choices):
-        partial, string_colors = color_cycle(cycle, anchor_slot, phase)
+    for cycle, start in zip(cycles, starts):
+        partial, string_colors = color_cycle(cycle, start)
         coloring.update(partial)
         for chord in cycle.chords:
             coloring[chord] = COLOR_1C
@@ -379,38 +344,35 @@ def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
     return coloring
 
 
-def _default_choice(cycle: ExpandedCycle) -> Tuple[Optional[int], int]:
-    """(anchor slot, phase) for one cycle.
-
-    An even cycle puts 1a on its connector of smallest canonical key; an
-    odd cycle spends its 3a on that connector.
-    """
-    first = min(range(cycle.m), key=lambda t: cycle.slots[t].canonical_key())
-    if cycle.odd:
-        return first, 0
-    return None, (3 * first + 2) % 2
-
-
 def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
                 ) -> List[ExpandedCycle]:
     return [_expand_cycle(g, dec, eids, verts)
             for eids, verts in zip(tf.cycles, tf.cycle_vertices)]
 
 
-def color_2ec(g: MultiGraph) -> EdgeColoring:
-    """Packing edge-coloring of a 2-edge-connected claw-free cubic graph."""
-    dec = oum_decompose(g)
-    if dec.variant == IS_K4:
-        return color_k4(g)
-    if dec.variant == RING_OF_DIAMONDS:
-        return _diamonds_coloring(g, dec.diamonds, g.edge_ids)
-    tf = two_factor_containing(dec.h)
-    cycles = _expand_all(g, dec, tf)
-    return _assemble_substituted(g, dec, tf, cycles,
-                                 [_default_choice(c) for c in cycles])
+def _start_slot(cycle: ExpandedCycle, required: Sequence[int]) -> int:
+    """The connector a lifted cycle is colored from.
+
+    A cycle through the anchor's H-edge (in `required`) starts at the
+    anchor's connector when even; when odd, at the connector of smallest
+    canonical key an odd number of steps before it.  Every other cycle
+    starts at its connector of smallest canonical key.
+    """
+    slots = range(cycle.m)
+    anchor_slot = next((t for t, slot in enumerate(cycle.slots)
+                        if slot.h_eid in required), None)
+    if anchor_slot is not None:
+        if not cycle.odd:
+            return anchor_slot
+        slots = [t for t in slots if (anchor_slot - t) % cycle.m % 2]
+    return min(slots, key=lambda t: cycle.slots[t].canonical_key())
 
 
-def _anchor_h_edge(dec: OumDecomposition, anchor: EdgeId) -> int:
+def _anchor_h_edge(g: MultiGraph, dec: OumDecomposition,
+                   anchor: EdgeId) -> int:
+    u, v = g.endpoints(anchor)
+    if set(g.neighbors(u)) & set(g.neighbors(v)):
+        raise AnchorOnTriangle(f"anchor edge {anchor} lies on a triangle")
     for h_eid, real in enumerate(dec.realizations):
         if real.is_string:
             if anchor in real.string.region_edges():
@@ -421,48 +383,39 @@ def _anchor_h_edge(dec: OumDecomposition, anchor: EdgeId) -> int:
         f"anchor {anchor} lies inside a triangle or diamond")
 
 
-def color_2ec_anchored(g: MultiGraph, anchor: EdgeId) -> EdgeColoring:
-    """Anchored variant: the anchor edge gets 1a and no edge within distance
-    one of it gets 3a.  Requires the anchor to lie on no triangle (K4 and
-    rings are the two exceptions, handled by relabeling their 3-colorings).
+def color_2ec(g: MultiGraph, anchor: Optional[EdgeId] = None
+              ) -> EdgeColoring:
+    """Packing edge-coloring of a 2-edge-connected claw-free cubic graph.
 
-    The 2-factor is forced through the anchor's H-edge, so the anchor lies
-    on a cycle; an even cycle takes the phase that puts 1a on the anchor,
-    an odd cycle its 3a on the first slot (by canonical key) an odd number
-    of connector steps before the anchor.
+    K4 and rings of diamonds get proper 3-edge-colorings; otherwise every
+    lifted cycle of a 2-factor of H is colored from its start connector
+    (1a on an even cycle, the 3a on an odd one; see `_start_slot`).
+
+    With `anchor`, the anchor edge gets 1a and no edge touching it gets 3a.
+    It must lie on no triangle, except in K4 and rings, whose 3-colorings
+    are relabeled.  The anchor changes two things only: the 2-factor is
+    forced through its H-edge, and its cycle's start moves.
     """
-    u, v = g.endpoints(anchor)
+    if anchor is not None:
+        u, v = g.endpoints(anchor)
     dec = oum_decompose(g)
     if dec.variant == IS_K4:
         return color_k4(g, anchor=anchor)
     if dec.variant == RING_OF_DIAMONDS:
         col = _diamonds_coloring(g, dec.diamonds, g.edge_ids)
-        if col[anchor] != COLOR_1A:
+        if anchor is not None and col[anchor] != COLOR_1A:
             col = apply_permutation(col, _swap_perm(col[anchor], COLOR_1A))
         return col
-    if set(g.neighbors(u)) & set(g.neighbors(v)):
-        raise AnchorOnTriangle(f"anchor edge {anchor} lies on a triangle")
-    h_eid0 = _anchor_h_edge(dec, anchor)
-    tf = two_factor_containing(dec.h, {h_eid0})
+    required = () if anchor is None else (_anchor_h_edge(g, dec, anchor),)
+    tf = two_factor_containing(dec.h, required)
     cycles = _expand_all(g, dec, tf)
-    ci0, s0 = next((ci, t) for ci, cycle in enumerate(cycles)
-                   for t, slot in enumerate(cycle.slots)
-                   if slot.h_eid == h_eid0)
-
-    choices = [_default_choice(c) for c in cycles]
-    target = cycles[ci0]
-    if target.odd:
-        slots = [t for t in range(target.m) if (s0 - t) % target.m % 2 == 1]
-        assert slots, "no odd-offset anchor slot exists"
-        choices[ci0] = (min(slots,
-                            key=lambda t: target.slots[t].canonical_key()), 0)
-    else:
-        choices[ci0] = (None, (3 * s0 + 2) % 2)
-    col = _assemble_substituted(g, dec, tf, cycles, choices)
-    assert col[anchor] == COLOR_1A, "anchor edge is not 1a"
-    assert all(col[e] != COLOR_3A
-               for e in g.incident_edges(u) + g.incident_edges(v)), \
-        "a 3a edge touches the anchor"
+    col = _assemble_substituted(g, dec, tf, cycles,
+                                [_start_slot(c, required) for c in cycles])
+    if anchor is not None:
+        assert col[anchor] == COLOR_1A, "anchor edge is not 1a"
+        assert all(col[e] != COLOR_3A
+                   for e in g.incident_edges(u) + g.incident_edges(v)), \
+            "a 3a edge touches the anchor"
     return col
 
 
@@ -501,7 +454,7 @@ def color_component(g_i: MultiGraph,
     e_uw = g_i.edge_between(u1, w1)
     e_wb = g_i.edge_between(w1, b1)
 
-    out = tc.to_component(color_2ec_anchored(tc.tilde, tc.sb_eid))
+    out = tc.to_component(color_2ec(tc.tilde, tc.sb_eid))
     threes = [eid for eid, c in out.items() if c == COLOR_3A]
     # ties keep the 3a on the w-b side; only a strictly farther s-u side
     # swaps the roles
@@ -563,16 +516,15 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
     return final
 
 
-def color_graph(g: MultiGraph,
-                stats: Optional[ColorStats] = None) -> EdgeColoring:
+def color_graph(g: MultiGraph) -> EdgeColoring:
     """Packing edge-coloring of any connected claw-free cubic graph.
 
     Bridgeless graphs go straight to the 2-edge-connected construction;
     otherwise the bridge tree is colored top-down, every bridge taking the
     matching color missing at its parent endpoint and every child permuting
     its matching colors so that same color is missing at its own endpoint.
-    The result is checked once with `verify`; a rejection counts in
-    `stats.backtracks` and raises ColoringFailed.
+    The result is checked once with `verify`; a rejection raises
+    ColoringFailed.
     """
     if not g.is_connected():
         raise NotConnected("input graph is not connected")
@@ -586,12 +538,5 @@ def color_graph(g: MultiGraph,
     coloring = _color_bridge_tree(g, bridges) if bridges else color_2ec(g)
     failures = verify(g, coloring, DEFAULT_SPEC)
     if failures:
-        if stats is not None:
-            stats.backtracks += 1
         raise ColoringFailed(failures)
     return coloring
-
-
-def color_graph_with_stats(g: MultiGraph) -> Tuple[EdgeColoring, ColorStats]:
-    stats = ColorStats()
-    return color_graph(g, stats), stats

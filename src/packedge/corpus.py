@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .coloring import COLOR_3A, ColorStats, color_graph
+from .coloring import COLOR_3A, ColoringFailed, color_graph
 from .families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                        gen_random_clawfree_cubic, gen_ring, gen_substituted)
 from .graph import MultiGraph
@@ -65,7 +65,7 @@ def build_corpus(bridged_seeds: range = BRIDGED_SEEDS) -> List[CorpusEntry]:
 @dataclass
 class CorpusReport:
     rows: List[Tuple[str, int, int, int, bool]] = field(default_factory=list)
-    backtracks: int = 0
+    backtracks: int = 0      # colorings rejected by color_graph's verify
     failures: int = 0
     seconds: float = 0.0
 
@@ -106,20 +106,20 @@ def run_corpus(entries: Optional[List[CorpusEntry]] = None,
     if entries is None:
         entries = build_corpus()
     report = CorpusReport()
-    stats = ColorStats()
     started = time.perf_counter()
     for entry in entries:
         g = entry.graph
         try:
-            col = color_graph(g, stats)   # verified, or ColoringFailed
+            col = color_graph(g)   # verified, or ColoringFailed
             ok = True
             three_a = sum(1 for c in col.values() if c == COLOR_3A)
-        except Exception:   # a pipeline error counts as a failure
+        except Exception as exc:   # a pipeline error counts as a failure
             ok = False
             three_a = 0
+            if isinstance(exc, ColoringFailed):
+                report.backtracks += 1
             if verbose:
                 raise
         report.add(entry.name, g.n, g.m, three_a, ok)
-    report.backtracks = stats.backtracks
     report.seconds = time.perf_counter() - started
     return report

@@ -40,7 +40,7 @@ class MultiGraph:
     the integers ``0 .. m-1`` in construction order.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_vset")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, edges: Sequence[Tuple[VertexId, VertexId]],
                  vertices: Iterable[VertexId] = ()):
@@ -53,7 +53,6 @@ class MultiGraph:
         self._edges: Tuple[Tuple[VertexId, VertexId], ...] = tuple(
             (u, v) for u, v in edges)
         self._vertices: Tuple[VertexId, ...] = tuple(sorted(vset))
-        self._vset = frozenset(vset)
         adj: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {
             v: [] for v in self._vertices}
         for eid, (u, v) in enumerate(self._edges):
@@ -82,14 +81,13 @@ class MultiGraph:
     def edge_list(self) -> Tuple[Tuple[VertexId, VertexId], ...]:
         return self._edges
 
-    def has_vertex(self, v: VertexId) -> bool:
-        return v in self._vset
-
     def endpoints(self, eid: EdgeId) -> Tuple[VertexId, VertexId]:
         try:
-            return self._edges[eid]
+            if eid >= 0:            # a negative index would wrap around
+                return self._edges[eid]
         except (IndexError, TypeError):
-            raise UnknownEdge(f"edge id {eid!r}") from None
+            pass
+        raise UnknownEdge(f"edge id {eid!r}")
 
     def other_end(self, eid: EdgeId, v: VertexId) -> VertexId:
         u, w = self.endpoints(eid)
@@ -151,17 +149,6 @@ class MultiGraph:
                         nxt.append(u)
             frontier = nxt
         return dist
-
-    def connected_components(self) -> List[frozenset]:
-        seen = set()
-        parts = []
-        for start in self._vertices:
-            if start in seen:
-                continue
-            comp = set(self.vertex_distances(start))
-            seen |= comp
-            parts.append(frozenset(comp))
-        return parts
 
     def is_connected(self) -> bool:
         if self.n <= 1:

@@ -72,11 +72,6 @@ class Diamond:
     def vertices(self) -> FrozenSet[VertexId]:
         return frozenset(self.internal) | frozenset(self.external)
 
-    def external_edges_at(self, g: MultiGraph, x: VertexId
-                          ) -> Tuple[EdgeId, EdgeId]:
-        z, w = self.internal
-        return (g.edge_between(x, z), g.edge_between(x, w))
-
     def external_pairs(self, g: MultiGraph
                        ) -> Tuple[Tuple[EdgeId, EdgeId], Tuple[EdgeId, EdgeId]]:
         """The two pairs of non-adjacent external edges, smallest id first."""
@@ -270,13 +265,8 @@ def _orient_string(g, diamonds, links, chain) -> DiamondString:
         attach_right=right[2], attach_right_edge=right[0])
 
 
-def detect_ring_of_diamonds(g: MultiGraph) -> Optional[int]:
-    """k if g is a closed cycle of k >= 2 diamonds covering every vertex."""
-    return _ring_size(g, find_diamonds(g))
-
-
 def _ring_size(g: MultiGraph, diamonds: List[Diamond]) -> Optional[int]:
-    """`detect_ring_of_diamonds` over the already-found diamonds of g."""
+    """k if its k >= 2 `diamonds` close into a ring covering g, else None."""
     k = len(diamonds)
     if k < 2 or 4 * k != g.n:
         return None

@@ -91,8 +91,3 @@ def verify(g: MultiGraph, coloring: Dict[EdgeId, str],
                     out.append(Violation(ci, (e, f), d, s + 1))
     out.sort(key=lambda v: (v.class_index, v.edges))
     return out
-
-
-def is_valid_coloring(g: MultiGraph, coloring: Dict[EdgeId, str],
-                      spec: PackingSpec = DEFAULT_SPEC) -> bool:
-    return not verify(g, coloring, spec)

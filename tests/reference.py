@@ -8,15 +8,28 @@ from packedge.graph import INFINITE, MultiGraph
 from packedge.structure import _strings_of, find_diamonds
 
 
+def connected_components(g):
+    """Vertex sets of the connected components of g."""
+    seen = set()
+    parts = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = set(g.vertex_distances(start))
+        seen |= comp
+        parts.append(frozenset(comp))
+    return parts
+
+
 def find_bridges_bruteforce(g):
     """Definitional bridge finder: delete each edge, count components."""
-    base = len(g.connected_components())
+    base = len(connected_components(g))
     out = set()
     for eid in g.edge_ids:
         reduced = MultiGraph(
             [g.endpoints(f) for f in g.edge_ids if f != eid],
             vertices=g.vertices)
-        if len(reduced.connected_components()) > base:
+        if len(connected_components(reduced)) > base:
             out.add(eid)
     return frozenset(out)
 

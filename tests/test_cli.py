@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from packedge.cli import main
 from packedge.formats import parse_coloring, write_edge_list, write_graph6
 from packedge.families import gen_petersen, gen_ring
@@ -24,6 +26,7 @@ def test_gen_ring_then_color(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["meta"]["valid"] is True
     assert doc["meta"]["three_a_edges"] == 0
+    assert set(doc["meta"]) == {"three_a_edges", "valid"}
     assert sorted(doc["assignment"], key=int) == [str(i) for i in range(18)]
 
 
@@ -168,6 +171,24 @@ def test_truncated_json_is_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, command, str(bad))
         assert code == 2
         assert err.startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{doc}", "--spec", "1,x"),
+    ("oracle", "{graph}", "--spec", ""),
+    ("corpus", "--seeds", "5"),
+    ("corpus", "--seeds", "5..3"),
+], ids=["verify-spec", "oracle-empty-spec", "corpus-seeds",
+        "corpus-reversed-seeds"])
+def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
+    graph_file = tmp_path / "g.json"
+    doc_file = tmp_path / "c.json"
+    run(capsys, "gen", "ring", "--k", "2", "--out", str(graph_file))
+    run(capsys, "color", str(graph_file), "--out", str(doc_file))
+    code, _, err = run(capsys, *(arg.format(graph=graph_file, doc=doc_file)
+                                 for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_empty_input_is_usage_error(tmp_path, capsys):

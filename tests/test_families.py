@@ -14,8 +14,8 @@ from packedge.families import (BadCount, BridgedPlan, InvalidPlan,
 from packedge.graph import are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
-from packedge.structure import (build_tilde, component_boundary,
-                                detect_ring_of_diamonds, is_k4)
+from packedge.structure import (build_tilde, component_boundary, is_k4,
+                                oum_decompose)
 
 
 def bfs_girth(g):
@@ -56,7 +56,7 @@ def triangles(g):
 def test_ring_counts(k):
     g = gen_ring(k)
     assert g.n == 4 * k and g.m == 6 * k
-    assert detect_ring_of_diamonds(g) == k
+    assert oum_decompose(g).ring_size == k
     assert is_cubic(g) and find_claw(g) is None
 
 

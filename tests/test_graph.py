@@ -72,9 +72,15 @@ def test_distance_path_two_apart():
 
 
 def test_distance_unknown_edge():
-    g = build_graph([(0, 1)])
+    g = build_graph([(0, 1), (1, 2)])
     with pytest.raises(UnknownEdge):
         edge_distance(g, 0, 5)
+    # a negative id must not wrap around to the last edges
+    for bad in (-1, -2, 2):
+        with pytest.raises(UnknownEdge):
+            g.endpoints(bad)
+        with pytest.raises(UnknownEdge):
+            edge_distances_from(g, bad)
 
 
 def test_distance_infinite_across_components():

@@ -6,6 +6,8 @@ from packedge.families import enumerate_cubic_multigraphs
 from packedge.matching import (PlesnikViolated, perfect_matching_avoiding,
                                two_factor_containing)
 
+from reference import connected_components
+
 
 def all_perfect_matchings(g):
     """Oracle: exhaustive enumeration over edge subsets via backtracking-free
@@ -97,7 +99,7 @@ def test_petersen_every_matching_complement_two_five_cycles(petersen):
         rest = [petersen.endpoints(e) for e in petersen.edge_ids
                 if e not in pm]
         sub = build_graph(rest)
-        comps = sub.connected_components()
+        comps = connected_components(sub)
         assert sorted(len(c) for c in comps) == [5, 5]
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import bushy_tree, diamond_path
-from reference import induced_subgraph
+from reference import connected_components, induced_subgraph
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_big_component, gen_bridged, BridgedPlan,
                                gen_random_clawfree_cubic, gen_ring,
@@ -16,7 +16,6 @@ from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 ClaimViolation, ClassificationFailed, Diamond,
                                 NoBridges, UpEdge, bridge_decompose,
                                 build_tilde, component_boundary,
-                                detect_ring_of_diamonds,
                                 find_diamonds, is_k4, oum_decompose,
                                 reconstruct)
 
@@ -94,7 +93,7 @@ def bridge_decompose_reference(g):
     bridges = find_bridges(g)
     rest = build_graph([g.endpoints(e) for e in g.edge_ids
                         if e not in bridges], vertices=g.vertices)
-    groups = sorted((sorted(c) for c in rest.connected_components()),
+    groups = sorted((sorted(c) for c in connected_components(rest)),
                     key=lambda vs: vs[0])
     part = {v: i for i, vs in enumerate(groups) for v in vs}
     subs = [induced_subgraph(g, vs) for vs in groups]
@@ -203,24 +202,23 @@ def test_detect_ring_counts():
     for k in (2, 3, 5):
         g = gen_ring(k)
         assert g.n == 4 * k and g.m == 6 * k
-        assert detect_ring_of_diamonds(g) == k
+        assert oum_decompose(g).ring_size == k
 
 
 def test_detect_ring_k4_none(k4):
-    assert detect_ring_of_diamonds(k4) is None
+    assert oum_decompose(k4).ring_size is None
 
 
 def test_detect_ring_substituted_k4_none(k4):
     g = gen_substituted(SubstitutionPlan(k4))
     assert find_diamonds(g) == []          # some vertex lies in no diamond
-    assert detect_ring_of_diamonds(g) is None
+    assert oum_decompose(g).ring_size is None
 
 
 # -- oum decomposition -------------------------------------------------------
 
 def counting_find_diamonds(monkeypatch):
-    """Count find_diamonds calls made through structure and coloring."""
-    import packedge.coloring as coloring
+    """Count find_diamonds calls made through structure."""
     import packedge.structure as structure
     calls = []
     real = structure.find_diamonds
@@ -229,7 +227,6 @@ def counting_find_diamonds(monkeypatch):
         calls.append(g)
         return real(g)
     monkeypatch.setattr(structure, "find_diamonds", counted)
-    monkeypatch.setattr(coloring, "find_diamonds", counted)
     return calls
 
 
@@ -248,14 +245,6 @@ def test_one_diamond_scan_per_decomposition(monkeypatch, make):
         assert len(dec.diamonds) == dec.ring_size == 5
     color_2ec(g)
     assert len(calls) == 2          # color_2ec decomposes once more, no more
-
-
-def test_one_diamond_scan_per_color_ring(monkeypatch):
-    from packedge.coloring import color_ring
-    g = gen_ring(4)
-    calls = counting_find_diamonds(monkeypatch)
-    color_ring(g, 4)
-    assert len(calls) == 1
 
 
 def test_oum_k4(k4):
@@ -321,7 +310,7 @@ def test_k4_with_string_is_a_ring(k4):
     edges += [(u, y), (y, z), (y, w), (z, w), (x, z), (x, w), (x, v)]
     g = build_graph(edges)
     assert find_claw(g) is None and is_cubic(g)
-    assert detect_ring_of_diamonds(g) == 2
+    assert oum_decompose(g).ring_size == 2
 
 
 # -- bridge decomposition ----------------------------------------------------
