@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import EdgeId, GraphError, MultiGraph, VertexId, edge_distances_from
+from .graph import INFINITE, EdgeId, GraphError, MultiGraph, VertexId
 from .matching import two_factor_containing
 from .recognize import BridgeSet, find_bridges, find_claw, is_cubic
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
@@ -423,12 +423,27 @@ def color_2ec(g: MultiGraph, anchor: Optional[EdgeId] = None
 # bridge-tree components
 # ---------------------------------------------------------------------------
 
-def _min_distance_to(g_i: MultiGraph, e: EdgeId,
-                     targets: Sequence[EdgeId]) -> float:
-    if not targets:
-        return float("inf")
-    dist = edge_distances_from(g_i, e)
-    return min(dist.get(t, float("inf")) for t in targets)
+def _wb_at_least_as_far(g_i: MultiGraph, e_wb: EdgeId, e_su: EdgeId,
+                        threes: Sequence[EdgeId]) -> bool:
+    """Whether e_wb is at least as far as e_su from the nearest 3a edge.
+
+    One edge BFS from all of `threes` at once, stopped as soon as both
+    targets have a distance; a target it never reaches is infinitely far.
+    """
+    dist = dict.fromkeys(threes, 0)
+    frontier = list(dist)
+    d = 0
+    while frontier and (e_wb not in dist or e_su not in dist):
+        d += 1
+        nxt = []
+        for cur in frontier:
+            for end in g_i.endpoints(cur):
+                for adj, _ in g_i.incident(end):
+                    if adj not in dist:
+                        dist[adj] = d
+                        nxt.append(adj)
+        frontier = nxt
+    return dist.get(e_wb, INFINITE) >= dist.get(e_su, INFINITE)
 
 
 def color_component(g_i: MultiGraph,
@@ -458,8 +473,7 @@ def color_component(g_i: MultiGraph,
     threes = [eid for eid, c in out.items() if c == COLOR_3A]
     # ties keep the 3a on the w-b side; only a strictly farther s-u side
     # swaps the roles
-    if _min_distance_to(g_i, e_wb, threes) >= \
-            _min_distance_to(g_i, e_su, threes):
+    if _wb_at_least_as_far(g_i, e_wb, e_su, threes):
         out.update({e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
                     e_uw: COLOR_1C, e_wb: COLOR_3A})
     else:

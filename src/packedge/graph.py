@@ -30,7 +30,7 @@ class UnknownEdge(GraphError):
 
 
 class TooLarge(GraphError):
-    """Exhaustive isomorphism was asked for a graph above its size bound."""
+    """An exhaustive search was asked for a graph above its size bound."""
 
 
 class MultiGraph:

@@ -5,7 +5,8 @@ with a precomputed bounded distance table, a most-constrained-first static
 edge order, and complete symmetry breaking among classes that share the same
 packing value.  Infeasible is only reported after the search space is
 exhausted; running out of the node budget is a distinct outcome so callers
-can never mistake a timeout for a proof.
+can never mistake a timeout for a proof.  The search recurses once per edge,
+so graphs above `EDGE_BOUND` edges are refused with `TooLarge`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import EdgeId, MultiGraph, edge_distances_from
+from .graph import EdgeId, MultiGraph, TooLarge, edge_distances_from
 from .verify import DEFAULT_SPEC, PackingSpec, verify
 
 FEASIBLE = "feasible"
@@ -21,6 +22,8 @@ INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_BUDGET = 10 ** 8
+# well below Python's default recursion limit of 1000 frames
+EDGE_BOUND = 512
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,8 @@ def oracle_color(g: MultiGraph, spec: PackingSpec = DEFAULT_SPEC,
     class permutations never changes the verdict.
     """
     m = g.m
+    if m > EDGE_BOUND:
+        raise TooLarge(f"oracle bound is {EDGE_BOUND} edges, got {m}")
     if m == 0:
         return OracleResult(FEASIBLE, {}, 0)
     k = spec.k

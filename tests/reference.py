@@ -21,6 +21,34 @@ def connected_components(g):
     return parts
 
 
+def perfect_matching_avoiding_reference(h, forbidden=()):
+    """Deterministic backtracking: always matches the smallest unmatched
+    vertex, trying its usable edges in edge-id order.  Exponential in the
+    worst case and recursive once per matched pair; small h only."""
+    forbidden = frozenset(forbidden)
+    if h.n % 2 != 0:
+        return None
+    matched = set()
+    chosen = []
+
+    def extend():
+        v = next((x for x in h.vertices if x not in matched), None)
+        if v is None:
+            return True
+        for eid, u in h.incident(v):
+            if eid in forbidden or u in matched:
+                continue
+            matched.update((v, u))
+            chosen.append(eid)
+            if extend():
+                return True
+            chosen.pop()
+            matched.difference_update((v, u))
+        return False
+
+    return set(chosen) if extend() else None
+
+
 def find_bridges_bruteforce(g):
     """Definitional bridge finder: delete each edge, count components."""
     base = len(connected_components(g))

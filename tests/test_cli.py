@@ -191,6 +191,14 @@ def test_malformed_argument_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oracle_too_large_is_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "ring200.json"
+    run(capsys, "gen", "ring", "--k", "200", "--out", str(graph_file))
+    code, out, err = run(capsys, "oracle", str(graph_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: oracle bound is") and err.count("\n") == 1
+
+
 def test_empty_input_is_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty.g6"
     empty.write_text("")

@@ -1,5 +1,7 @@
 import hashlib
 import importlib
+import random
+import sys
 
 import pytest
 
@@ -10,14 +12,15 @@ from packedge.coloring import (AnchorOnTriangle, COLOR_1A, COLOR_1B,
                                ONE_COLORS, apply_permutation, color_2ec,
                                color_component, color_cycle, color_graph,
                                color_k4, color_string, _expand_all,
-                               _virtual_colors,
+                               _virtual_colors, _wb_at_least_as_far,
                                TYPE_MATCHING, TYPE_CYCLE_1A, TYPE_CYCLE_1B,
                                TYPE_CYCLE_3A, BadContext)
 from packedge.corpus import CorpusEntry, run_corpus
 from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_bridged, BridgedPlan, gen_leaf7,
                                gen_petersen, gen_random_clawfree_cubic,
-                               gen_ring, gen_substituted)
+                               gen_ring, gen_substituted,
+                               random_cubic_multigraph_2ec)
 from packedge.formats import write_coloring
 from packedge.graph import UnknownEdge, build_graph
 from packedge.matching import two_factor_containing
@@ -25,6 +28,7 @@ from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
                                 build_tilde, component_boundary, oum_decompose)
 from packedge.verify import verify
 
+from conftest import random_connected_graph
 from reference import collect_diamond_strings, edge_distance
 
 # the package's `verify` attribute is the function, not the module
@@ -331,6 +335,21 @@ def test_color_component_odd_r3():
     assert verify(g, col) == []
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_3a_side_matches_two_distance_searches(seed):
+    # the one multi-source search decides as the two nearest-3a distances
+    # from e_wb and from e_su do, ties going to the w-b side
+    rng = random.Random(seed)
+    g = random_connected_graph(rng)
+    for _ in range(10):
+        e_wb, e_su = rng.randrange(g.m), rng.randrange(g.m)
+        threes = rng.sample(range(g.m), rng.randint(0, min(3, g.m)))
+        near = [min((edge_distance(g, e, t) for t in threes),
+                    default=float("inf")) for e in (e_wb, e_su)]
+        assert _wb_at_least_as_far(g, e_wb, e_su, threes) == \
+            (near[0] >= near[1])
+
+
 # -- permutations ------------------------------------------------------------
 
 def test_apply_permutation_identity(k4):
@@ -431,6 +450,24 @@ def test_color_graph_random(seed):
     g = gen_random_clawfree_cubic(700 + seed, bridged=bool(seed % 2))
     col = color_graph(g)
     assert verify(g, col) == []
+
+
+def test_color_graph_large_substitution():
+    # |H| = 2048 at the default recursion limit: the 2-factor of H is found
+    # without exponential search or one stack frame per matched pair
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(2048)
+    h = random_cubic_multigraph_2ec(rng, 2048)
+    strings = {eid: rng.randint(1, 3) for eid in h.edge_ids
+               if rng.random() < 0.3}
+    g = gen_substituted(SubstitutionPlan(h, strings))
+    assert verify(g, color_graph(g)) == []
+    e, f = 0, h.m - 1
+    tf = two_factor_containing(h, (e, f))
+    cycle_edges = {eid for tour in tf.cycles for eid in tour}
+    assert {e, f} <= cycle_edges
+    assert len(cycle_edges) + len(tf.complement) == h.m
+    assert sum(map(len, tf.cycle_vertices)) == h.n
 
 
 def test_degree2_edges_one_colored_everywhere():

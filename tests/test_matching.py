@@ -1,12 +1,18 @@
+import inspect
+import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
-from packedge.families import enumerate_cubic_multigraphs
+from packedge import matching
+from packedge.families import (enumerate_cubic_multigraphs,
+                               random_cubic_multigraph_2ec)
+from packedge.graph import build_graph
 from packedge.matching import (PlesnikViolated, perfect_matching_avoiding,
                                two_factor_containing)
 
-from reference import connected_components
+from reference import connected_components, perfect_matching_avoiding_reference
 
 
 def all_perfect_matchings(g):
@@ -131,3 +137,105 @@ def test_no_matching_raises():
     dip = build_graph([(0, 1), (0, 1), (0, 1)])
     with pytest.raises(PlesnikViolated):
         two_factor_containing(dip, {0, 1, 2})
+
+
+def check_avoiding(h, forbidden, m):
+    """m is a perfect matching of h that uses no forbidden edge."""
+    ends = [v for eid in m for v in h.endpoints(eid)]
+    assert sorted(ends) == sorted(h.vertices)
+    assert not set(m) & set(forbidden)
+
+
+def agree_with_reference(h, forbidden):
+    m = perfect_matching_avoiding(h, forbidden)
+    ref = perfect_matching_avoiding_reference(h, forbidden)
+    assert (m is None) == (ref is None), (h.edge_list(), forbidden)
+    if m is not None:
+        check_avoiding(h, forbidden, m)
+    return m
+
+
+def test_blossom_agrees_with_backtracking_on_enumerated():
+    # every ordered pair of forbidden edges, plus the three edges at one
+    # vertex with one more, on every 2-edge-connected cubic multigraph up
+    # to 8 vertices
+    nones = 0
+    for n in (2, 4, 6, 8):
+        for h in enumerate_cubic_multigraphs(n):
+            for e in h.edge_ids:
+                star = h.incident_edges(h.endpoints(e)[0])
+                for f in h.edge_ids:
+                    agree_with_reference(h, (e, f))
+                    nones += agree_with_reference(h, star + (f,)) is None
+    assert nones > 0
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_blossom_agrees_with_backtracking_on_random(n):
+    # the backtracker takes more than 20 s on some |H| = 64 draws, so the
+    # larger draws are compared with networkx below
+    for seed in range(10):
+        rng = random.Random(n * 100 + seed)
+        h = random_cubic_multigraph_2ec(rng, n)
+        for _ in range(4):
+            forbidden = {rng.randrange(h.m), rng.randrange(h.m)}
+            assert agree_with_reference(h, forbidden) is not None
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_blossom_agrees_with_networkx_on_random(n):
+    for seed in range(5):
+        rng = random.Random(n * 100 + seed)
+        h = random_cubic_multigraph_2ec(rng, n)
+        for k in (2, n // 8, n // 2):
+            forbidden = set(rng.sample(range(h.m), k))
+            m = perfect_matching_avoiding(h, forbidden)
+            allowed = nx.Graph()
+            allowed.add_nodes_from(h.vertices)
+            allowed.add_edges_from(h.endpoints(eid) for eid in h.edge_ids
+                                   if eid not in forbidden)
+            size = len(nx.max_weight_matching(allowed, maxcardinality=True))
+            assert (m is not None) == (2 * size == n)
+            if m is not None:
+                check_avoiding(h, forbidden, m)
+
+
+def test_blossom_needs_contraction(monkeypatch):
+    # a triangle 0-1-2 with the tail 0-3-4-5: the greedy seed takes 0-1 and
+    # 3-4, and the one augmenting path, from 2 to 5, runs round the triangle
+    h = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)])
+    meets = []
+    tree_meet = matching._tree_meet
+    monkeypatch.setattr(matching, "_tree_meet",
+                        lambda *args: meets.append(args) or tree_meet(*args))
+    assert perfect_matching_avoiding(h) == {2, 3, 5}
+    assert meets
+    assert perfect_matching_avoiding(h, {3}) is None
+
+
+def test_odd_order_has_no_perfect_matching():
+    triangle = build_graph([(0, 1), (1, 2), (0, 2)])
+    assert perfect_matching_avoiding(triangle) is None
+    assert perfect_matching_avoiding_reference(triangle) is None
+
+
+def test_forbidding_a_whole_vertex_leaves_none(k4):
+    for v in k4.vertices:
+        star = k4.incident_edges(v)
+        assert perfect_matching_avoiding(k4, star) is None
+        assert perfect_matching_avoiding_reference(k4, star) is None
+        with pytest.raises(PlesnikViolated):
+            two_factor_containing(k4, star)
+
+
+def test_matcher_is_not_recursive():
+    # no function of the module calls itself or defines a named inner one
+    for name, fn in vars(matching).items():
+        if not (inspect.isfunction(fn) and fn.__module__ == matching.__name__):
+            continue
+        codes = [fn.__code__]
+        for code in codes:
+            assert name not in code.co_names, name
+            inner = [c for c in code.co_consts if inspect.iscode(c)]
+            assert all(c.co_name.startswith("<") for c in inner), name
+            codes += inner

@@ -2,8 +2,9 @@ import pytest
 
 from packedge.coloring import color_graph
 from packedge.families import gen_ring, gen_substituted, SubstitutionPlan
-from packedge.oracle import (BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE,
-                             oracle_color)
+from packedge.graph import TooLarge
+from packedge.oracle import (BUDGET_EXCEEDED, EDGE_BOUND, FEASIBLE,
+                             INFEASIBLE, oracle_color)
 from packedge.verify import PackingSpec, verify
 
 SPEC_1113 = PackingSpec((1, 1, 1, 3))
@@ -77,3 +78,10 @@ def test_symmetry_breaking_infeasible_unchanged(petersen):
 def test_empty_graph_feasible():
     from packedge.graph import build_graph
     assert oracle_color(build_graph([]), SPEC_1113).status == FEASIBLE
+
+
+def test_edge_bound():
+    # a ring of k diamonds has 6k edges; the search recurses once per edge
+    assert oracle_color(gen_ring(EDGE_BOUND // 6), SPEC_1113).feasible
+    with pytest.raises(TooLarge):
+        oracle_color(gen_ring(EDGE_BOUND // 6 + 1), SPEC_1113)
