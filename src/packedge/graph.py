@@ -111,16 +111,18 @@ class MultiGraph:
         """Distinct neighbors of v, sorted."""
         return tuple(sorted({u for _, u in self._adj[v]}))
 
-    def edges_between(self, u: VertexId, v: VertexId) -> Tuple[EdgeId, ...]:
-        return tuple(eid for eid, w in self._adj.get(u, ()) if w == v)
-
     def edge_between(self, u: VertexId, v: VertexId) -> Optional[EdgeId]:
         """Smallest edge id joining u and v, or None."""
-        found = self.edges_between(u, v)
-        return found[0] if found else None
+        for eid, w in self._adj.get(u, ()):
+            if w == v:
+                return eid
+        return None
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return bool(self.edges_between(u, v))
+        for _, w in self._adj.get(u, ()):
+            if w == v:
+                return True
+        return False
 
     def is_simple(self) -> bool:
         seen = set()

@@ -4,8 +4,9 @@ None of these is used by the coloring pipeline; each is the slow, obvious
 version of something the library computes another way.
 """
 
-from packedge.graph import INFINITE, MultiGraph
+from packedge.graph import INFINITE, MultiGraph, edge_distances_from
 from packedge.structure import _strings_of, find_diamonds
+from packedge.verify import BadSpec, PartialColoring, Violation
 
 
 def connected_components(g):
@@ -113,3 +114,28 @@ def induced_subgraph(g, keep):
                   if u in keep and v in keep]
     sub = MultiGraph([g.endpoints(eid) for eid in kept_edges], vertices=keep)
     return sub, tuple(kept_edges)
+
+
+def verify_reference(g, coloring, spec):
+    """`verify` by a capped edge BFS from every edge of every class."""
+    class_of = {label: ci for ci, label in enumerate(spec.labels())}
+    by_class = [[] for _ in class_of]
+    for eid in g.edge_ids:
+        label = coloring.get(eid)
+        if label is None:
+            raise PartialColoring(f"edge {eid} unassigned")
+        if label not in class_of:
+            raise BadSpec(f"label {label!r} not in spec {spec.s}")
+        by_class[class_of[label]].append(eid)
+
+    out = []
+    for ci, members in enumerate(by_class):
+        s = spec.s[ci]
+        mset = set(members)
+        for e in members:
+            near = edge_distances_from(g, e, cap=s)
+            for f, d in near.items():
+                if f > e and f in mset:
+                    out.append(Violation(ci, (e, f), d, s + 1))
+    out.sort(key=lambda v: (v.class_index, v.edges))
+    return out

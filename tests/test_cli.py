@@ -79,6 +79,19 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 1 and "violation" in out
 
 
+def test_verify_label_on_unknown_edge_is_usage_error(tmp_path, capsys):
+    graph_file = tmp_path / "g.json"
+    col_file = tmp_path / "c.json"
+    run(capsys, "gen", "ring", "--k", "2", "--out", str(graph_file))
+    run(capsys, "color", str(graph_file), "--out", str(col_file))
+    doc = json.loads(col_file.read_text())
+    doc["assignment"]["99"] = "1a"
+    col_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(col_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_recognize_petersen_negative(tmp_path, capsys):
     graph_file = tmp_path / "p.g6"
     graph_file.write_text(write_graph6(gen_petersen()))

@@ -38,6 +38,10 @@ def test_build_parallel_edges():
     g = build_graph([("a", "b"), ("a", "b"), ("a", "b")])
     assert g.n == 2 and g.m == 3
     assert g.degree("a") == 3 and g.degree("b") == 3
+    h = build_graph([("a", "c"), ("b", "a"), ("a", "b")])
+    assert h.edge_between("a", "b") == h.edge_between("b", "a") == 1
+    assert h.has_edge("c", "a") and not h.has_edge("b", "c")
+    assert h.edge_between("a", "z") is None and not h.has_edge("z", "a")
 
 
 def test_build_rejects_loop():
