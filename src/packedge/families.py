@@ -2,7 +2,9 @@
 
 Everything here is deterministic: fixed constructions (Petersen, Tietze,
 rings, the 7-vertex leaf), seeded random generators, and an exhaustive
-enumeration of small cubic multigraphs up to isomorphism.
+enumeration of small cubic multigraphs up to isomorphism.  The enumeration
+represents each class by the first labeling its generator yields, which is
+the class's lexicographically greatest valid labeling.
 """
 
 from __future__ import annotations
@@ -229,6 +231,11 @@ def gen_bridged(plan: BridgedPlan) -> MultiGraph:
 # seeded random generation
 # ---------------------------------------------------------------------------
 
+def _require_even_order(n: int) -> None:
+    if n % 2 or n < 2:
+        raise BadCount(f"cubic multigraphs need an even order, got {n}")
+
+
 def random_cubic_multigraph_2ec(rng: random.Random, n: int,
                                 tries: int = 1000) -> MultiGraph:
     """Random 2-edge-connected cubic multigraph on n vertices (n even).
@@ -237,8 +244,7 @@ def random_cubic_multigraph_2ec(rng: random.Random, n: int,
     and a random pairing supplies the perfect matching; attempts with fixed
     points, bridges, or a disconnected result are rejected.
     """
-    if n % 2 or n < 2:
-        raise BadCount(f"cubic multigraphs need an even order, got {n}")
+    _require_even_order(n)
     for _ in range(tries):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -325,9 +331,30 @@ def _random_bridged(rng: random.Random) -> MultiGraph:
 # ---------------------------------------------------------------------------
 
 def _labeled_cubic_multigraphs(n: int) -> Iterator[List[Tuple[int, int]]]:
-    """All labeled connected loopless cubic multigraphs on 0..n-1 in which
-    every vertex beyond 0 has a lower-numbered neighbor (every isomorphism
-    class admits such a labeling, so none is lost)."""
+    """Labeled connected loopless cubic multigraphs on 0..n-1 whose parents
+    do not decrease, where parent(v) is the smallest neighbor of v below v.
+
+    Every class keeps the labeling that `enumerate_cubic_multigraphs`
+    picks as its representative, by this lemma:
+
+    1. Without the parent rule, the generator yields every valid labeling
+       (connected, and every v > 0 has a lower-numbered neighbor) in
+       descending lexicographic order of the row-major upper-triangle
+       multiplicity vector (M[0][1], ..., M[0][n-1], M[1][2], ...).
+    2. So the first labeling seen of each class, the one kept as its
+       representative, is the class's lexicographically greatest valid
+       labeling.
+    3. In that labeling parent(v) does not decrease in v.  Suppose
+       parent(v) > parent(v+1) = p.  Swapping labels v and v+1 keeps the
+       labeling valid and leaves the rows before row p unchanged, but raises
+       entry (p, v) from 0 to a positive value: the original was not the
+       greatest.
+
+    Parents are non-decreasing exactly when, after each row, the vertices
+    touched so far form a prefix of the labels.  So a row may reach an
+    untouched vertex only if it is the smallest untouched one; the pruned
+    stream is the unpruned one, filtered by that rule, in the same order.
+    """
     rem = [3] * n
     edges: List[Tuple[int, int]] = []
 
@@ -349,8 +376,9 @@ def _labeled_cubic_multigraphs(n: int) -> Iterator[List[Tuple[int, int]]]:
             if idx >= len(candidates):
                 return
             u = candidates[idx]
-            top = min(rem[u], need)
-            for take in range(top, -1, -1):
+            if u - 1 > v and rem[u - 1] == 3:
+                return   # u - 1 was left untouched: no later one may be touched
+            for take in range(min(rem[u], need), -1, -1):
                 for _ in range(take):
                     edges.append((v, u))
                 rem[u] -= take
@@ -396,7 +424,14 @@ def _iso_fingerprint(g: MultiGraph) -> Tuple:
 @lru_cache(maxsize=None)
 def enumerate_cubic_multigraphs(n: int, two_edge_connected: bool = True
                                 ) -> Tuple[MultiGraph, ...]:
-    """All connected cubic multigraphs on n vertices, up to isomorphism."""
+    """All connected cubic multigraphs on n vertices, up to isomorphism.
+
+    Each class is represented by the first of its labelings that
+    `_labeled_cubic_multigraphs` yields, which is its lexicographically
+    greatest valid labeling (see the lemma there).  n must be even and at
+    least 2; anything else raises `BadCount`.
+    """
+    _require_even_order(n)
     buckets: Dict[Tuple, List[MultiGraph]] = {}
     out: List[MultiGraph] = []
     for edges in _labeled_cubic_multigraphs(n):

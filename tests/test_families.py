@@ -1,4 +1,7 @@
-from itertools import combinations, product
+import hashlib
+import json
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
@@ -16,6 +19,7 @@ from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
 from packedge.structure import (build_tilde, component_boundary, is_k4,
                                 oum_decompose)
+from reference import labeled_cubic_multigraphs_reference
 
 
 def bfs_girth(g):
@@ -195,6 +199,77 @@ def test_enumeration_counts():
     assert len(enumerate_cubic_multigraphs(4)) == 2
     assert len(enumerate_cubic_multigraphs(6)) == 5
     assert len(enumerate_cubic_multigraphs(8)) == 16
+    connected = [len(enumerate_cubic_multigraphs(n, two_edge_connected=False))
+                 for n in (2, 4, 6, 8)]
+    assert connected == [1, 2, 6, 20]
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, 9])
+def test_enumeration_rejects_bad_order(n):
+    with pytest.raises(BadCount):
+        enumerate_cubic_multigraphs(n)
+    with pytest.raises(BadCount):
+        enumerate_cubic_multigraphs(n, two_edge_connected=False)
+
+
+def parents_non_decreasing(edges, n):
+    """parent(v), the smallest neighbor of v below v, never decreases."""
+    parent = [n] * n
+    for u, v in edges:
+        lo, hi = min(u, v), max(u, v)
+        parent[hi] = min(parent[hi], lo)
+    return all(a <= b for a, b in zip(parent[1:], parent[2:]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pruned_stream_is_filtered_reference(n):
+    """The generator yields exactly the unpruned labelings whose parents do
+    not decrease, as the same edge lists in the same order."""
+    expected = [edges for edges in labeled_cubic_multigraphs_reference(n)
+                if parents_non_decreasing(edges, n)]
+    assert list(_labeled_cubic_multigraphs(n)) == expected
+
+
+def upper_triangle(edges, n):
+    mult = Counter((min(u, v), max(u, v)) for u, v in edges)
+    return tuple(mult[a, b] for a in range(n) for b in range(a + 1, n))
+
+
+def valid_relabelings(h, n):
+    """Every relabeling of h in which each vertex beyond 0 has a
+    lower-numbered neighbor."""
+    for perm in permutations(range(n)):
+        edges = [(perm[u], perm[v]) for u, v in h.edge_list()]
+        if all(any(min(e) < w == max(e) for e in edges)
+               for w in range(1, n)):
+            yield edges
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_representative_is_lex_greatest_valid_labeling(n):
+    """Brute force over all n! relabelings: each representative is its
+    class's lexicographically greatest valid labeling."""
+    for h in enumerate_cubic_multigraphs(n, two_edge_connected=False):
+        best = max(upper_triangle(edges, n)
+                   for edges in valid_relabelings(h, n))
+        assert upper_triangle(h.edge_list(), n) == best
+
+
+# sha256 of the enumerated edge lists for n = 2, 4, 6, 8, as first computed
+# with the unpruned generator
+ENUMERATION_DIGESTS = {
+    True: "45662f8a87e26f4c12edbbd6b9237fadcabce22d4274f9b242ca0db9ebc5ed27",
+    False: "482a3d0ca835c89e52a0feb50207974a864681dc6b7116de7cd7dcbf105abf6f",
+}
+
+
+@pytest.mark.parametrize("two_edge_connected", [True, False])
+def test_enumeration_digest_pinned(two_edge_connected):
+    """Representatives keep their exact edge lists and order."""
+    payload = [[list(e) for e in h.edge_list()] for n in (2, 4, 6, 8)
+               for h in enumerate_cubic_multigraphs(n, two_edge_connected)]
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[two_edge_connected]
 
 
 def test_enumeration_all_2ec_cubic():
@@ -204,10 +279,11 @@ def test_enumeration_all_2ec_cubic():
 
 
 def test_enumeration_pairwise_non_isomorphic():
-    for n in (2, 4, 6):
-        graphs = enumerate_cubic_multigraphs(n)
-        for a, b in combinations(graphs, 2):
-            assert not are_isomorphic_small(a, b)
+    for n in (2, 4, 6, 8):
+        for two_edge_connected in (True, False):
+            graphs = enumerate_cubic_multigraphs(n, two_edge_connected)
+            for a, b in combinations(graphs, 2):
+                assert not are_isomorphic_small(a, b)
 
 
 def multigraph_has_bridge(gx):
@@ -217,9 +293,10 @@ def multigraph_has_bridge(gx):
 
 
 def test_enumeration_n6_agrees_with_networkx_dedupe():
-    """Independent dedupe of the labeled stream with networkx VF2."""
+    """Independent dedupe of the whole unpruned labeled space with
+    networkx VF2."""
     reps = []
-    for edges in _labeled_cubic_multigraphs(6):
+    for edges in labeled_cubic_multigraphs_reference(6):
         gx = nx.MultiGraph()
         gx.add_nodes_from(range(6))
         gx.add_edges_from(edges)
