@@ -423,12 +423,14 @@ def color_2ec(g: MultiGraph, anchor: Optional[EdgeId] = None
 # bridge-tree components
 # ---------------------------------------------------------------------------
 
-def _wb_at_least_as_far(g_i: MultiGraph, e_wb: EdgeId, e_su: EdgeId,
-                        threes: Sequence[EdgeId]) -> bool:
+def _wb_at_least_as_far(g: MultiGraph, bridges: BridgeSet, e_wb: EdgeId,
+                        e_su: EdgeId, threes: Sequence[EdgeId]) -> bool:
     """Whether e_wb is at least as far as e_su from the nearest 3a edge.
 
-    One edge BFS from all of `threes` at once, stopped as soon as both
-    targets have a distance; a target it never reaches is infinitely far.
+    One edge BFS in g minus `bridges` (no shortest path between two edges of
+    one component uses a bridge) from all of `threes` at once, stopped as
+    soon as both targets have a distance; a target never reached is
+    infinitely far.
     """
     dist = dict.fromkeys(threes, 0)
     frontier = list(dist)
@@ -437,49 +439,51 @@ def _wb_at_least_as_far(g_i: MultiGraph, e_wb: EdgeId, e_su: EdgeId,
         d += 1
         nxt = []
         for cur in frontier:
-            for end in g_i.endpoints(cur):
-                for adj, _ in g_i.incident(end):
-                    if adj not in dist:
+            for end in g.endpoints(cur):
+                for adj, _ in g.incident(end):
+                    if adj not in dist and adj not in bridges:
                         dist[adj] = d
                         nxt.append(adj)
         frontier = nxt
     return dist.get(e_wb, INFINITE) >= dist.get(e_su, INFINITE)
 
 
-def color_component(g_i: MultiGraph,
+def color_component(g: MultiGraph, bridges: BridgeSet,
+                    edge_ids: Sequence[EdgeId],
                     boundary: ComponentBoundary) -> EdgeColoring:
-    """Color one big component so all its boundary edges stay 1-colored.
+    """Color one big component of g, its edges `edge_ids`, in g's edge ids
+    so all its boundary edges stay 1-colored.
 
     Even boundary: color the cubic completion and forget the added edges.
     Odd: color the completion anchored at the added s1-b1 edge, then patch
     the dropped triangle locally; 3a goes to whichever of w1b1 / s1u1 is
     farther from the 3a edges already present.
     """
-    tc = build_tilde(g_i, boundary)
+    tc = build_tilde(g, edge_ids, boundary)
     if tc.parity == "even":
         comp = tc.to_component(color_2ec(tc.tilde))
-        assert len(comp) == g_i.m
+        assert len(comp) == len(edge_ids)
         return comp
 
     v1, u1, w1 = boundary.degree2[0], boundary.u[0], boundary.w[0]
     s1, b1 = boundary.s[0], boundary.b[0]
-    e_su = g_i.edge_between(s1, u1)
-    e_uv = g_i.edge_between(u1, v1)
-    e_vw = g_i.edge_between(v1, w1)
-    e_uw = g_i.edge_between(u1, w1)
-    e_wb = g_i.edge_between(w1, b1)
+    e_su = g.edge_between(s1, u1)
+    e_uv = g.edge_between(u1, v1)
+    e_vw = g.edge_between(v1, w1)
+    e_uw = g.edge_between(u1, w1)
+    e_wb = g.edge_between(w1, b1)
 
     out = tc.to_component(color_2ec(tc.tilde, tc.sb_eid))
     threes = [eid for eid, c in out.items() if c == COLOR_3A]
     # ties keep the 3a on the w-b side; only a strictly farther s-u side
     # swaps the roles
-    if _wb_at_least_as_far(g_i, e_wb, e_su, threes):
+    if _wb_at_least_as_far(g, bridges, e_wb, e_su, threes):
         out.update({e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
                     e_uw: COLOR_1C, e_wb: COLOR_3A})
     else:
         out.update({e_wb: COLOR_1A, e_vw: COLOR_1B, e_uv: COLOR_1A,
                     e_uw: COLOR_1C, e_su: COLOR_3A})
-    assert len(out) == g_i.m
+    assert len(out) == len(edge_ids)
     return out
 
 
@@ -500,8 +504,7 @@ def _missing_color_at(g: MultiGraph, bridges: BridgeSet,
 def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
     """Color the bridge tree of g root-down (see `color_graph`), in g's
     edge ids: K3 edges take the three matching colors, a diamond its ring
-    scheme, and a big component is colored on its own graph and mapped
-    back once."""
+    scheme, and a big component is read from g through its tilde."""
     bd = bridge_decompose(g, bridges)
     assert bd.kinds[bd.root] == BIG_COMPONENT, "root component must be big"
     final: EdgeColoring = {}
@@ -512,11 +515,9 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
         elif kind == DIAMOND_COMPONENT:
             col = _diamonds_coloring(g, [bd.diamonds[idx]], emap)
         else:
-            comp = bd.component_graph(g, idx)
-            boundary = component_boundary(
-                comp, up.p if up is not None else None)
-            col = {emap[comp_eid]: c for comp_eid, c in
-                   color_component(comp, boundary).items()}
+            boundary = component_boundary(g, bd.bridges, bd.vertices[idx],
+                                          up.p if up else None)
+            col = color_component(g, bd.bridges, emap, boundary)
         if up is not None:
             bridge_color = _missing_color_at(g, bd.bridges, final, up.q)
             final[up.bridge] = bridge_color

@@ -176,7 +176,8 @@ def gen_big_component(chain_lengths: Tuple[int, ...]) -> MultiGraph:
             prev = x
         edges.append((prev, tri[(j + 1) % r][2]))   # into w of next triangle
     out, mapping = relabel_to_ints(build_graph(edges))
-    boundary = component_boundary(out)        # raises if the claims fail
+    # raises if the boundary claims fail
+    boundary = component_boundary(out, frozenset(), out.vertices)
     assert boundary.r == r
     return out
 
@@ -199,7 +200,7 @@ def _component_with_boundary(recipe: Tuple
         return g, (0, 1)
     if kind == "big":
         g = gen_big_component(recipe[1])
-        return g, component_boundary(g).degree2
+        return g, tuple(v for v in g.vertices if g.degree(v) == 2)
     raise BadCount(f"unknown recipe {recipe!r}")
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .graph import EdgeId, MultiGraph, VertexId
 
@@ -28,22 +28,24 @@ def is_cubic(g: MultiGraph) -> bool:
     return all(g.degree(v) == 3 for v in g.vertices)
 
 
-def find_claw(g: MultiGraph) -> Optional[ClawWitness]:
-    """Some induced claw of g, or None if g is claw-free.
+def claw_at(g: MultiGraph, centers: Iterable[VertexId]
+            ) -> Optional[ClawWitness]:
+    """Some induced claw of g centered at one of `centers`, or None.
 
-    Direct neighborhood enumeration; on cubic graphs each vertex has at most
-    three distinct neighbors, so this is linear overall.
+    On a cubic graph each center has at most three distinct neighbors, so
+    this is linear in the number of centers.
     """
-    for v in g.vertices:
-        distinct = g.neighbors(v)
-        if len(distinct) < 3:
-            continue
-        for trio in combinations(distinct, 3):
-            a, b, c = trio
+    for v in centers:
+        for a, b, c in combinations(g.neighbors(v), 3):
             if not g.has_edge(a, b) and not g.has_edge(a, c) \
                     and not g.has_edge(b, c):
-                return ClawWitness(center=v, leaves=trio)
+                return ClawWitness(center=v, leaves=(a, b, c))
     return None
+
+
+def find_claw(g: MultiGraph) -> Optional[ClawWitness]:
+    """Some induced claw of g, or None if g is claw-free."""
+    return claw_at(g, g.vertices)
 
 
 def find_bridges(g: MultiGraph) -> BridgeSet:

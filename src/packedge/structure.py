@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, build_graph
-from .recognize import (BridgeSet, find_bridges, find_claw, is_cubic,
-                        is_two_edge_connected)
+from .recognize import BridgeSet, claw_at, find_bridges, is_cubic
 
 IS_K4 = "k4"
 RING_OF_DIAMONDS = "ring-of-diamonds"
@@ -484,19 +483,6 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
                             realizations=tuple(realizations))
 
 
-def reconstruct(dec: OumDecomposition) -> MultiGraph:
-    """Build a fresh graph from the decomposition data (for round-trips)."""
-    # families imports this module
-    from .families import SubstitutionPlan, gen_k4, gen_ring, gen_substituted
-    if dec.variant == IS_K4:
-        return gen_k4()
-    if dec.variant == RING_OF_DIAMONDS:
-        return gen_ring(dec.ring_size)
-    return gen_substituted(SubstitutionPlan(dec.h, {
-        h_eid: r.string.k for h_eid, r in enumerate(dec.realizations)
-        if r.is_string}))
-
-
 # ---------------------------------------------------------------------------
 # bridge decomposition
 # ---------------------------------------------------------------------------
@@ -519,17 +505,11 @@ class BridgeDecomposition:
     vertices: Tuple[Tuple[VertexId, ...], ...]
     kinds: Tuple[str, ...]
     diamonds: Tuple[Optional[Diamond], ...]
-    edge_maps: Tuple[Tuple[EdgeId, ...], ...]   # component eid -> G eid
+    edge_maps: Tuple[Tuple[EdgeId, ...], ...]
     tree: Tuple[Tuple[int, ...], ...]
     root: int
     levels: Tuple[int, ...]
     up_edges: Tuple[Optional[UpEdge], ...]      # None exactly at the root
-
-    def component_graph(self, g: MultiGraph, i: int) -> MultiGraph:
-        """Component i as a graph of its own, edge j being G edge
-        `edge_maps[i][j]`."""
-        return build_graph([g.endpoints(eid) for eid in self.edge_maps[i]],
-                           vertices=self.vertices[i])
 
 
 def _component_shape(g: MultiGraph, verts: List[VertexId],
@@ -575,8 +555,8 @@ def bridge_decompose(g: MultiGraph,
     The work is linear in m.  One sweep over the edges splits them into
     components, and three BFS passes give every eccentricity: a is a node
     farthest from node 0, b a node farthest from a, and in a tree
-    ecc(v) = max(d(a, v), d(b, v)).  No component graph is built; see
-    `BridgeDecomposition.component_graph`.
+    ecc(v) = max(d(a, v), d(b, v)).  No component graph is built: later
+    stages read a component from g through `vertices` and `edge_maps`.
     """
     if bridges is None:
         bridges = find_bridges(g)
@@ -689,41 +669,47 @@ class ComponentBoundary:
         return len(self.degree2)
 
 
-def component_boundary(g_i: MultiGraph,
+def component_boundary(g: MultiGraph, bridges: BridgeSet,
+                       vertices: Iterable[VertexId],
                        up_vertex: Optional[VertexId] = None
                        ) -> ComponentBoundary:
-    """Ordered boundary of a big component, v_1 = up_vertex when given.
+    """Ordered boundary of the big component of g on `vertices`, whose
+    edges are their edges in g outside `bridges` (a standalone component is
+    all of g with no bridges); v_1 = up_vertex when given.
 
     Checks the structural claims the coloring relies on: every degree-2
     vertex lies on a triangle, the degree-2 vertices are independent, and
     the outward extensions s_j, b_j are distinct degree-3 vertices.
     """
-    deg2 = sorted(v for v in g_i.vertices if g_i.degree(v) == 2)
+    def inner(v: VertexId) -> List[VertexId]:
+        return [u for eid, u in g.incident(v) if eid not in bridges]
+
+    deg2 = sorted(v for v in vertices if len(inner(v)) == 2)
     if up_vertex is not None:
         if up_vertex not in deg2:
             raise ClaimViolation("up-vertex-degree", up_vertex)
         deg2 = [up_vertex] + [v for v in deg2 if v != up_vertex]
     for i, a in enumerate(deg2):
         for bb in deg2[i + 1:]:
-            if g_i.has_edge(a, bb):
+            if g.has_edge(a, bb):
                 raise ClaimViolation("independent-set", (a, bb))
 
     us, ws, ss, bs = [], [], [], []
     for v in deg2:
-        nbrs = g_i.neighbors(v)
+        nbrs = sorted(set(inner(v)))
         if len(nbrs) != 2:
             raise ClaimViolation("boundary-degree", v)
         uj, wj = nbrs
-        if not g_i.has_edge(uj, wj):
+        if not g.has_edge(uj, wj):
             raise ClaimViolation("triangle", v)
-        sj = [x for x in g_i.neighbors(uj) if x not in (v, wj)]
-        bj = [x for x in g_i.neighbors(wj) if x not in (v, uj)]
+        sj = set(inner(uj)) - {v, wj}
+        bj = set(inner(wj)) - {v, uj}
         if len(sj) != 1 or len(bj) != 1:
             raise ClaimViolation("extension-count", v)
-        sj, bj = sj[0], bj[0]
+        sj, bj = sj.pop(), bj.pop()
         if sj == bj:
             raise ClaimViolation("distinct-extensions", (v, sj))
-        if g_i.degree(sj) != 3 or g_i.degree(bj) != 3:
+        if len(inner(sj)) != 3 or len(inner(bj)) != 3:
             raise ClaimViolation("extension-degree", (v, sj, bj))
         us.append(uj)
         ws.append(wj)
@@ -735,78 +721,72 @@ def component_boundary(g_i: MultiGraph,
 
 @dataclass
 class TildeConstruction:
-    """Cubic completion of a big component.
-
-    Shared edges keep their meaning across the two graphs: ``shared[i]`` is
-    the component edge id for tilde edge i, or None for an added edge.
-    """
+    """Cubic completion of a big component of g: ``shared[i]`` is the g
+    edge id of tilde edge i, or None for an added edge."""
     tilde: MultiGraph
     parity: str                                   # "even" | "odd"
     shared: Tuple[Optional[EdgeId], ...]
-    pair_eids: Tuple[EdgeId, ...]
     sb_eid: Optional[EdgeId] = None               # odd parity only
-    removed: Optional[Tuple[VertexId, VertexId, VertexId]] = None
 
     def to_component(self, tilde_coloring: Dict[EdgeId, str]
                      ) -> Dict[EdgeId, str]:
-        """Restrict a tilde coloring to the shared component edges."""
-        return {comp_eid: tilde_coloring[t_eid]
-                for t_eid, comp_eid in enumerate(self.shared)
-                if comp_eid is not None}
+        """Restrict a tilde coloring to the component, keyed by g."""
+        return {eid: tilde_coloring[t_eid]
+                for t_eid, eid in enumerate(self.shared) if eid is not None}
 
 
-def build_tilde(g_i: MultiGraph,
+def build_tilde(g: MultiGraph, edge_ids: Iterable[EdgeId],
                 boundary: ComponentBoundary) -> TildeConstruction:
-    """Complete a big component into a 2-edge-connected claw-free cubic graph.
+    """Complete the big component of g with edges `edge_ids` into a
+    2-edge-connected claw-free cubic graph, its edges the kept `edge_ids`
+    in order, then s1b1, then the pairs.
 
     Even boundary: pair up the degree-2 vertices (v1v2, v3v4, ...).  Odd:
     drop the first boundary triangle {v1,u1,w1}, join s1 to b1, and pair the
     remaining degree-2 vertices (v2v3, v4v5, ...).
+
+    The claims are checked only where the construction can break them.
+    Only the ends of added edges change degree, and only they and their
+    neighbours see a new edge nearby; every other vertex sees what it sees
+    in g, which `color_graph` has checked cubic and claw-free.  So
+    `tilde-cubic` is checked at those ends, `tilde-claw-free` also at their
+    neighbours.  2-edge-connectivity needs no check: the component, a
+    component of g minus its bridges, has it, and adding edges creates no
+    bridge.  Nor does replacing the path s1-u1-w1-b1 (with its ear at v1)
+    by the edge s1b1: were s1b1 a bridge of the tilde, s1u1 would be one of
+    the component, and any other bridge of the tilde is one of the
+    component, the path standing in for s1b1.
     """
     r = boundary.r
     v = boundary.degree2
     if r % 2 == 0:
-        edges = list(g_i.edge_list())
-        shared: List[Optional[EdgeId]] = list(g_i.edge_ids)
-        pairs = [(v[j], v[j + 1]) for j in range(0, r - 1, 2)]
+        kept = list(edge_ids)
+        added = []
         sb_eid = None
-        removed = None
-        parity = "even"
     else:
         drop = {v[0], boundary.u[0], boundary.w[0]}
-        kept = [eid for eid in g_i.edge_ids
-                if not (set(g_i.endpoints(eid)) & drop)]
+        kept = [eid for eid in edge_ids if not (set(g.endpoints(eid)) & drop)]
         s1, b1 = boundary.s[0], boundary.b[0]
-        if g_i.has_edge(s1, b1):
+        if g.has_edge(s1, b1):
             raise ClaimViolation("sb-non-edge", (s1, b1))
-        edges = [g_i.endpoints(eid) for eid in kept]
-        shared = list(kept)
-        sb_eid = len(edges)
-        edges.append((s1, b1))
-        shared.append(None)
-        pairs = [(v[j], v[j + 1]) for j in range(1, r - 1, 2)]
-        removed = (v[0], boundary.u[0], boundary.w[0])
-        parity = "odd"
+        added = [(s1, b1)]
+        sb_eid = len(kept)
+    added += [(v[j], v[j + 1]) for j in range(r % 2, r - 1, 2)]
+    tilde = build_graph([g.endpoints(eid) for eid in kept] + added)
 
-    pair_eids = []
-    for a, b in pairs:
-        pair_eids.append(len(edges))
-        edges.append((a, b))
-        shared.append(None)
-    tilde = build_graph(edges)
-
-    if not is_cubic(tilde):
-        raise ClaimViolation("tilde-cubic", tilde.degree_sequence())
-    if not is_two_edge_connected(tilde):
-        raise ClaimViolation("tilde-2ec", None)
-    claw = find_claw(tilde)
+    ends = sorted({x for pair in added for x in pair})
+    for x in ends:
+        if tilde.degree(x) != 3:
+            raise ClaimViolation("tilde-cubic", (x, tilde.degree(x)))
+    claw = claw_at(tilde, sorted(
+        set(ends).union(*(tilde.neighbors(x) for x in ends))))
     if claw is not None:
         raise ClaimViolation("tilde-claw-free", claw)
-    if parity == "odd":
-        s1, b1 = boundary.s[0], boundary.b[0]
+    if sb_eid is not None:
+        s1, b1 = added[0]
         on_triangle = bool(set(tilde.neighbors(s1)) & set(tilde.neighbors(b1)))
         if on_triangle and not is_k4(tilde):
             raise ClaimViolation("sb-triangle-free", (s1, b1))
-    return TildeConstruction(tilde=tilde, parity=parity, shared=tuple(shared),
-                             pair_eids=tuple(pair_eids), sb_eid=sb_eid,
-                             removed=removed)
+    return TildeConstruction(tilde=tilde, parity="odd" if r % 2 else "even",
+                             shared=tuple(kept) + (None,) * len(added),
+                             sb_eid=sb_eid)

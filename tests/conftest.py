@@ -7,6 +7,7 @@ from packedge.families import (BridgedPlan, gen_bridged, gen_k4, gen_leaf7,
                                gen_leaf7_pair, gen_petersen, gen_ring,
                                gen_tietze)
 from packedge.graph import build_graph
+from packedge.structure import component_boundary
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,12 @@ def random_connected_graph(rng: random.Random, max_n: int = 30):
         if u != v:
             edges.append((u, v))   # parallel edges welcome
     return build_graph(edges, vertices=range(n))
+
+
+def whole_boundary(g, up_vertex=None):
+    """The boundary of g read as a standalone big component: all of g, no
+    bridges."""
+    return component_boundary(g, frozenset(), g.vertices, up_vertex)
 
 
 def diamond_path(rng: random.Random, d: int):

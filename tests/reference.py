@@ -4,8 +4,11 @@ None of these is used by the coloring pipeline; each is the slow, obvious
 version of something the library computes another way.
 """
 
+from packedge.families import SubstitutionPlan, gen_k4, gen_ring, gen_substituted
 from packedge.graph import INFINITE, MultiGraph, edge_distances_from
-from packedge.structure import _strings_of, find_diamonds
+from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
+from packedge.structure import (IS_K4, RING_OF_DIAMONDS, _strings_of,
+                                component_boundary, find_diamonds)
 from packedge.verify import BadSpec, PartialColoring, Violation
 
 
@@ -105,6 +108,41 @@ def line_graph(g):
 def collect_diamond_strings(g):
     """The diamonds of g grouped into maximal strings."""
     return _strings_of(g, find_diamonds(g))
+
+
+def reconstruct(dec):
+    """A fresh graph from an `OumDecomposition`'s data (for round-trips)."""
+    if dec.variant == IS_K4:
+        return gen_k4()
+    if dec.variant == RING_OF_DIAMONDS:
+        return gen_ring(dec.ring_size)
+    return gen_substituted(SubstitutionPlan(dec.h, {
+        h_eid: r.string.k for h_eid, r in enumerate(dec.realizations)
+        if r.is_string}))
+
+
+def build_tilde_reference(g, vertices, edge_ids, up_vertex=None):
+    """The tilde of one big component of g, by copying the component into a
+    graph of its own, completing the copy, and asserting that the whole
+    tilde is cubic, 2-edge-connected and claw-free.  Returns the tilde and,
+    per tilde edge, its g edge id (None for an added edge)."""
+    comp = MultiGraph([g.endpoints(eid) for eid in edge_ids],
+                      vertices=vertices)
+    b = component_boundary(comp, frozenset(), comp.vertices, up_vertex)
+    v = b.degree2
+    if b.r % 2 == 0:
+        kept = list(comp.edge_ids)
+        added = []
+    else:
+        drop = {v[0], b.u[0], b.w[0]}
+        kept = [eid for eid in comp.edge_ids
+                if not set(comp.endpoints(eid)) & drop]
+        added = [(b.s[0], b.b[0])]
+    added += [(v[j], v[j + 1]) for j in range(b.r % 2, b.r - 1, 2)]
+    tilde = MultiGraph([comp.endpoints(eid) for eid in kept] + added)
+    assert is_cubic(tilde) and is_two_edge_connected(tilde)
+    assert find_claw(tilde) is None
+    return tilde, tuple(edge_ids[eid] for eid in kept) + (None,) * len(added)
 
 
 def induced_subgraph(g, keep):

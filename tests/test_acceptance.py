@@ -17,11 +17,11 @@ from packedge.graph import INFINITE, are_isomorphic_small, edge_distances_from
 from packedge.matching import two_factor_containing
 from packedge.oracle import FEASIBLE, INFEASIBLE, oracle_color
 from packedge.recognize import is_cubic
-from packedge.structure import SUBSTITUTED, find_diamonds, oum_decompose, reconstruct
+from packedge.structure import SUBSTITUTED, find_diamonds, oum_decompose
 from packedge.verify import PackingSpec, verify
 
 from conftest import random_connected_graph
-from reference import edge_distance, line_graph
+from reference import edge_distance, line_graph, reconstruct
 
 SPEC_1113 = PackingSpec((1, 1, 1, 3))
 SPEC_1112 = PackingSpec((1, 1, 1, 2))

@@ -28,7 +28,8 @@ from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
                                 build_tilde, component_boundary, oum_decompose)
 from packedge.verify import verify
 
-from conftest import random_connected_graph
+from conftest import (bushy_tree, diamond_path, random_connected_graph,
+                      whole_boundary)
 from reference import collect_diamond_strings, edge_distance
 
 # the package's `verify` attribute is the function, not the module
@@ -239,7 +240,7 @@ def _on_triangle(g, eid):
 
 
 def test_anchored_leaf7_tilde(leaf7):
-    tc = build_tilde(leaf7, component_boundary(leaf7))
+    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
     col = color_2ec(tc.tilde, tc.sb_eid)
     assert anchored_contract_holds(tc.tilde, col, tc.sb_eid)
     assert COLOR_3A not in class_sizes(col)
@@ -271,12 +272,12 @@ def test_anchored_odd_boundary_components(seed):
     for idx, kind in enumerate(bd.kinds):
         if kind != BIG_COMPONENT:
             continue
-        comp = bd.component_graph(g, idx)
         up = bd.up_edges[idx]
-        boundary = component_boundary(comp, up.p if up is not None else None)
+        boundary = component_boundary(g, bd.bridges, bd.vertices[idx],
+                                      up.p if up is not None else None)
         if boundary.r % 2 == 0:
             continue
-        tc = build_tilde(comp, boundary)
+        tc = build_tilde(g, bd.edge_maps[idx], boundary)
         col = color_2ec(tc.tilde, tc.sb_eid)
         assert anchored_contract_holds(tc.tilde, col, tc.sb_eid)
         assert verify(tc.tilde, col) == []
@@ -303,9 +304,13 @@ def test_anchored_rejects_triangle_edge(k4):
 
 # -- components ----------------------------------------------------------
 
+def color_whole(g):
+    """`color_component` on all of g as a standalone big component."""
+    return color_component(g, frozenset(), g.edge_ids, whole_boundary(g))
+
+
 def test_color_component_leaf7_worked_instance(leaf7):
-    b = component_boundary(leaf7)
-    col = color_component(leaf7, b)
+    col = color_whole(leaf7)
     assert verify(leaf7, col) == []
     e = {name: leaf7.edge_between(u, v) for name, (u, v) in {
         "su": (3, 1), "uv": (1, 0), "vw": (0, 2),
@@ -321,7 +326,7 @@ def test_color_component_leaf7_worked_instance(leaf7):
 
 def test_color_component_even():
     g = gen_big_component((1, 1))
-    col = color_component(g, component_boundary(g))
+    col = color_whole(g)
     assert verify(g, col) == []
     for v in (x for x in g.vertices if g.degree(x) == 2):
         colors = [col[e] for e in g.incident_edges(v)]
@@ -331,7 +336,7 @@ def test_color_component_even():
 
 def test_color_component_odd_r3():
     g = gen_big_component((1, 2, 1))
-    col = color_component(g, component_boundary(g))
+    col = color_whole(g)
     assert verify(g, col) == []
 
 
@@ -346,7 +351,7 @@ def test_3a_side_matches_two_distance_searches(seed):
         threes = rng.sample(range(g.m), rng.randint(0, min(3, g.m)))
         near = [min((edge_distance(g, e, t) for t in threes),
                     default=float("inf")) for e in (e_wb, e_su)]
-        assert _wb_at_least_as_far(g, e_wb, e_su, threes) == \
+        assert _wb_at_least_as_far(g, frozenset(), e_wb, e_su, threes) == \
             (near[0] >= near[1])
 
 
@@ -366,7 +371,7 @@ def test_apply_permutation_swap_stays_valid(k4):
 
 
 def test_apply_permutation_fixes_3a(leaf7):
-    col = color_component(leaf7, component_boundary(leaf7))
+    col = color_whole(leaf7)
     perm = {"1a": "1c", "1c": "1b", "1b": "1a"}
     out = apply_permutation(col, perm)
     assert three_a_edges(out) == three_a_edges(col)
@@ -402,6 +407,27 @@ def test_corpus_colorings_pinned(corpus):
         digest.update(
             write_coloring(entry.graph, color_graph(entry.graph)).encode())
     assert digest.hexdigest() == CORPUS_COLORINGS_SHA256
+
+
+# sha256 of `write_coloring(g, color_graph(g))` over bridged graphs at the
+# size of the `ladder` benchmark's tree rungs: conftest's `bushy_tree(
+# random.Random(s), 60)` for s = 1..5 (2.3k-2.8k edges, big components with
+# r = 1, 2 and 3), then `diamond_path(random.Random(3), 400)`.
+BRIDGED_COLORINGS_SHA256 = [
+    "9130b219f4a7eb79b5db80929e99380803cf984522197a6914bc5fe3f08bab06",
+    "22e445dd3f192112126bcc1797ad7560f03c8affa163f10a7b0c78b11083c6b5",
+    "665a738b9d81dd41feee69f6dfcb5563e7cdb3986e6e7135975391428cdf4d1f",
+    "ca17b925d5c4bcd1c1ac8bc845e00970f27979841974963567be98c407bea9ed",
+    "152afd4b870667a12b47e28e7594377ae8c17083d5dab4069c3e3e7d3ab764e2",
+    "96b218fd2fce72074cbf4ad7c9869f52d4ba540bc1132241e68ec8ef82764244",
+]
+
+
+def test_bridged_colorings_pinned_at_ladder_scale():
+    graphs = [bushy_tree(random.Random(s), 60) for s in range(1, 6)]
+    graphs.append(diamond_path(random.Random(3), 400))
+    assert [hashlib.sha256(write_coloring(g, color_graph(g)).encode())
+            .hexdigest() for g in graphs] == BRIDGED_COLORINGS_SHA256
 
 
 def test_color_graph_ring_dispatch():

@@ -17,8 +17,8 @@ from packedge.families import (BadCount, BridgedPlan, InvalidPlan,
 from packedge.graph import are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
-from packedge.structure import (build_tilde, component_boundary, is_k4,
-                                oum_decompose)
+from packedge.structure import build_tilde, is_k4, oum_decompose
+from conftest import whole_boundary
 from reference import labeled_cubic_multigraphs_reference
 
 
@@ -110,7 +110,7 @@ def test_tietze_stats(tietze):
 
 def test_leaf7(leaf7):
     assert leaf7.degree_sequence() == (2, 3, 3, 3, 3, 3, 3)
-    tc = build_tilde(leaf7, component_boundary(leaf7))
+    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
     assert is_k4(tc.tilde)
 
 
@@ -123,7 +123,7 @@ def test_leaf7_pair(leaf7_pair):
 def test_big_component_boundary_sizes():
     for chains in ((1,), (1, 1), (2, 1, 3), (1, 1, 1, 1)):
         g = gen_big_component(chains)
-        b = component_boundary(g)
+        b = whole_boundary(g)
         assert b.r == len(chains)
     assert are_isomorphic_small(gen_big_component((1,)), gen_leaf7())
 

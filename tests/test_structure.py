@@ -1,23 +1,26 @@
 import random
+import sys
 
 import pytest
 
-from conftest import bushy_tree, diamond_path
-from reference import connected_components, induced_subgraph
+import packedge.recognize as recognize
+from conftest import bushy_tree, diamond_path, whole_boundary
+from reference import (build_tilde_reference, connected_components,
+                       induced_subgraph, reconstruct)
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_big_component, gen_bridged, BridgedPlan,
-                               gen_random_clawfree_cubic, gen_ring,
+                               gen_leaf7, gen_random_clawfree_cubic, gen_ring,
                                gen_substituted)
 from packedge.graph import are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
 from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
-                                ClaimViolation, ClassificationFailed, Diamond,
-                                NoBridges, UpEdge, bridge_decompose,
-                                build_tilde, component_boundary,
-                                find_diamonds, is_k4, oum_decompose,
-                                reconstruct)
+                                ClaimViolation, ClassificationFailed,
+                                ComponentBoundary, Diamond, NoBridges, UpEdge,
+                                bridge_decompose, build_tilde,
+                                component_boundary, find_diamonds, is_k4,
+                                oum_decompose)
 
 
 def fingerprint(g):
@@ -130,9 +133,9 @@ def bridge_decompose_reference(g):
 
 
 def bridge_fields(g, bd):
-    graphs = [bd.component_graph(g, i) for i in range(len(bd.vertices))]
     return dict(bridges=bd.bridges,
-                components=[(c.vertices, c.edge_list()) for c in graphs],
+                components=[(verts, tuple(g.endpoints(e) for e in emap))
+                            for verts, emap in zip(bd.vertices, bd.edge_maps)],
                 vertices=bd.vertices, kinds=bd.kinds, diamonds=bd.diamonds,
                 edge_maps=bd.edge_maps, tree=bd.tree, root=bd.root,
                 levels=bd.levels, up_edges=bd.up_edges)
@@ -141,6 +144,36 @@ def bridge_fields(g, bd):
 def own_degree(g, emap, v):
     """Degree of v within the component whose G edge ids are `emap`."""
     return sum(1 for eid in emap if v in g.endpoints(eid))
+
+
+def recorded_calls(monkeypatch, name):
+    """The graph of every later call to `recognize.<name>`, wherever a
+    packedge module holds that function."""
+    real = getattr(recognize, name)
+    calls = []
+
+    def recorded(g):
+        calls.append(g)
+        return real(g)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("packedge") and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
+def recorded_tildes(monkeypatch):
+    """Every tilde `color_component` builds from here on."""
+    import packedge.coloring as coloring
+    real = coloring.build_tilde
+    tildes = []
+
+    def recorded(*args):
+        tc = real(*args)
+        tildes.append(tc.tilde)
+        return tc
+    monkeypatch.setattr(coloring, "build_tilde", recorded)
+    return tildes
 
 
 def seeded_tree(kind, size):
@@ -356,50 +389,41 @@ def test_bridge_decompose_component_count_matches_bridges():
 
 def test_one_bridge_search_per_color_graph(monkeypatch):
     import packedge.coloring as coloring
-    import packedge.recognize as recognize
-    import packedge.structure as structure
     g = gen_random_clawfree_cubic(701, bridged=True)
-    searched = []
-    real = recognize.find_bridges
+    searched = recorded_calls(monkeypatch, "find_bridges")
+    tildes = recorded_tildes(monkeypatch)
+    hs = []
+    real_oum = coloring.oum_decompose
 
-    def counted(h):
-        searched.append(h)
-        return real(h)
-    for mod in (recognize, structure, coloring):
-        monkeypatch.setattr(mod, "find_bridges", counted)
+    def recorded_oum(h):
+        dec = real_oum(h)
+        if dec.h is not None:
+            hs.append(dec.h)
+        return dec
+    monkeypatch.setattr(coloring, "oum_decompose", recorded_oum)
     coloring.color_graph(g)
-    assert sum(1 for h in searched if h is g) == 1
-    assert len(searched) > 1        # only tildes keep their checks
+    # once on g, then once per substituted tilde on its H; never on a tilde
+    assert tildes and hs
+    assert [id(h) for h in searched] == [id(g)] + [id(h) for h in hs]
+    assert not {id(t) for t in tildes} & {id(h) for h in searched}
 
 
 def test_component_shapes_come_from_bridge_decompose(monkeypatch):
-    import sys
     import packedge.coloring as coloring
-    import packedge.structure as structure
     g = diamond_path(random.Random(3), 400)
     scans = counting_find_diamonds(monkeypatch)
-    callers = []
-    real_2ec = structure.is_two_edge_connected
-
-    def counted(h):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_2ec(h)
-    monkeypatch.setattr(structure, "is_two_edge_connected", counted)
-    tildes = []
-    real_tilde = structure.build_tilde
-
-    def recorded(*args):
-        tc = real_tilde(*args)
-        tildes.append(tc.tilde)
-        return tc
-    monkeypatch.setattr(coloring, "build_tilde", recorded)
+    two_ec = recorded_calls(monkeypatch, "is_two_edge_connected")
+    claws = recorded_calls(monkeypatch, "find_claw")
+    tildes = recorded_tildes(monkeypatch)
     coloring.color_graph(g)
     # one scan per big component (both leaves), none per diamond; a K4
     # tilde is recognised before any scan
     assert len(tildes) == 2
     assert scans == [t for t in tildes if not is_k4(t)]
     assert 1 <= len(scans) <= 2
-    assert callers == ["build_tilde"] * 2
+    # the tildes' claims are checked locally: no whole-graph re-check
+    assert two_ec == []
+    assert len(claws) == 1 and claws[0] is g
 
 
 def test_two_thousand_diamond_path():
@@ -472,7 +496,7 @@ def test_classify_rejects_cycle(leaf7):
 # -- boundary and tilde ------------------------------------------------------
 
 def test_boundary_leaf7(leaf7):
-    b = component_boundary(leaf7)
+    b = whole_boundary(leaf7)
     assert b.r == 1 and b.degree2 == (0,)
     assert b.u == (1,) and b.w == (2,)
     assert leaf7.has_edge(b.u[0], b.w[0])
@@ -483,7 +507,7 @@ def test_boundary_leaf7(leaf7):
 def test_boundary_orders_up_vertex_first():
     g = gen_big_component((1, 1, 1))
     deg2 = sorted(v for v in g.vertices if g.degree(v) == 2)
-    b = component_boundary(g, up_vertex=deg2[-1])
+    b = whole_boundary(g, up_vertex=deg2[-1])
     assert b.degree2[0] == deg2[-1]
     assert list(b.degree2[1:]) == deg2[:-1]
 
@@ -491,12 +515,64 @@ def test_boundary_orders_up_vertex_first():
 def test_boundary_rejects_adjacent_degree2():
     c4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ClaimViolation) as err:
-        component_boundary(c4)
+        whole_boundary(c4)
     assert err.value.claim == "independent-set"
 
 
+# a mutated component, or a hand-built boundary on one, for every claim
+# `component_boundary` / `build_tilde` can raise; leaf7 is v=0, u=1, w=2,
+# s=3, b=4 and the diamond internals 5, 6
+K33_MINUS_03 = [(a, b) for a in range(3) for b in range(3, 6)
+                if (a, b) != (0, 3)]
+PRISM_MINUS_34_WITH_EAR = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5),
+                           (4, 5), (6, 7), (7, 8), (6, 8), (3, 6), (4, 7),
+                           (5, 8)]
+CLAIMS = {
+    # u has degree 3
+    "up-vertex-degree": lambda: whole_boundary(gen_leaf7(), up_vertex=1),
+    # v = 0 has a double edge to its one neighbour
+    "boundary-degree": lambda: whole_boundary(build_graph(
+        [(0, 1), (0, 1)] + [(a, b) for a in range(1, 5)
+                            for b in range(a + 1, 5)])),
+    # no degree-2 vertex of K3,3 minus an edge lies on a triangle
+    "triangle": lambda: whole_boundary(build_graph(K33_MINUS_03)),
+    # u extends to both 3 and 4
+    "extension-count": lambda: whole_boundary(build_graph(
+        gen_leaf7().edge_list() + ((1, 4),))),
+    # u and w both extend to 3
+    "distinct-extensions": lambda: whole_boundary(build_graph(
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)])),
+    # s has degree 4
+    "extension-degree": lambda: whole_boundary(build_graph(
+        gen_leaf7().edge_list() + ((3, 4),))),
+    # s1, b1 given as the adjacent diamond internals
+    "sb-non-edge": lambda: build_tilde(
+        gen_leaf7(), range(10), ComponentBoundary((0,), (1,), (2,), (5,),
+                                                  (6,))),
+    # v is paired with s, which has degree 3 already
+    "tilde-cubic": lambda: build_tilde(
+        gen_leaf7(), range(10), ComponentBoundary((0, 3), (1, 5), (2, 6),
+                                                  (3, 5), (4, 6))),
+    # pairing the two degree-2 vertices gives back K3,3
+    "tilde-claw-free": lambda: build_tilde(
+        build_graph(K33_MINUS_03), range(8),
+        ComponentBoundary((0, 3), (4, 1), (5, 2), (1, 4), (2, 5))),
+    # the tilde is the prism, where s1b1 lies on a triangle
+    "sb-triangle-free": lambda: build_tilde(
+        build_graph(PRISM_MINUS_34_WITH_EAR), range(13),
+        whole_boundary(build_graph(PRISM_MINUS_34_WITH_EAR))),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_every_claim_raises_its_id(claim):
+    with pytest.raises(ClaimViolation) as err:
+        CLAIMS[claim]()
+    assert err.value.claim == claim
+
+
 def test_tilde_leaf7_is_k4(leaf7):
-    tc = build_tilde(leaf7, component_boundary(leaf7))
+    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
     assert tc.parity == "odd"
     assert is_k4(tc.tilde)
     assert tc.sb_eid is not None
@@ -505,38 +581,53 @@ def test_tilde_leaf7_is_k4(leaf7):
 
 def test_tilde_even_adds_one_pair_edge():
     g = gen_big_component((1, 1))
-    b = component_boundary(g)
-    tc = build_tilde(g, b)
+    b = whole_boundary(g)
+    tc = build_tilde(g, g.edge_ids, b)
     assert tc.parity == "even"
     assert tc.tilde.n == g.n and tc.tilde.m == g.m + 1
     assert is_cubic(tc.tilde)
-    pair = tc.tilde.endpoints(tc.pair_eids[0])
+    pair = tc.tilde.endpoints(tc.tilde.m - 1)     # the one added edge
     assert sorted(pair) == sorted(b.degree2[:2])
 
 
 def test_tilde_odd_r3_drops_triangle():
     g = gen_big_component((1, 1, 1))
-    b = component_boundary(g)
-    tc = build_tilde(g, b)
+    b = whole_boundary(g)
+    tc = build_tilde(g, g.edge_ids, b)
     assert tc.parity == "odd"
     assert tc.tilde.n == g.n - 3
     assert is_cubic(tc.tilde) and is_two_edge_connected(tc.tilde)
-    assert len(tc.pair_eids) == 1
+    assert tc.shared.count(None) == 2              # s1b1 and one pair
     s1b1 = tc.tilde.endpoints(tc.sb_eid)
     assert sorted(s1b1) == sorted((b.s[0], b.b[0]))
 
 
+def bridged_inputs():
+    from packedge.corpus import build_corpus
+    yield from (e.graph for e in build_corpus() if find_bridges(e.graph))
+    for seed in range(600, 605):
+        yield gen_random_clawfree_cubic(seed, bridged=True)
+    yield bushy_tree(random.Random(1), 60)
+    yield diamond_path(random.Random(3), 400)
+
+
 def test_tilde_always_clawfree_cubic_2ec():
-    for seed in range(5):
-        g = gen_random_clawfree_cubic(600 + seed, bridged=True)
+    # the view-built tilde is the copy-built one, edge list for edge list,
+    # and the whole-tilde checks the view path skips all hold on it
+    tildes = 0
+    for g in bridged_inputs():
         bd = bridge_decompose(g)
         for i, kind in enumerate(bd.kinds):
             if kind != BIG_COMPONENT:
                 continue
-            comp = bd.component_graph(g, i)
             up = bd.up_edges[i]
-            b = component_boundary(comp, up.p if up else None)
-            tc = build_tilde(comp, b)
-            assert is_cubic(tc.tilde)
-            assert is_two_edge_connected(tc.tilde)
-            assert find_claw(tc.tilde) is None
+            p = up.p if up else None
+            b = component_boundary(g, bd.bridges, bd.vertices[i], p)
+            tc = build_tilde(g, bd.edge_maps[i], b)
+            ref, shared = build_tilde_reference(
+                g, bd.vertices[i], bd.edge_maps[i], p)
+            assert tc.tilde.edge_list() == ref.edge_list()
+            assert tc.tilde.vertices == ref.vertices
+            assert tc.shared == shared
+            tildes += 1
+    assert tildes > 200
