@@ -23,7 +23,8 @@ from .formats import (parse_coloring, parse_edge_list, parse_graph6,
                       write_graph6)
 from .graph import GraphError, MultiGraph
 from .oracle import DEFAULT_BUDGET, FEASIBLE, INFEASIBLE, oracle_color
-from .recognize import find_bridges, find_claw, is_cubic, is_two_edge_connected
+from .recognize import (find_bridges, find_claw, is_cubic,
+                        require_clawfree_cubic)
 from .structure import (RING_OF_DIAMONDS, SUBSTITUTED, bridge_decompose,
                         oum_decompose)
 from .verify import BadSpec, PackingSpec, verify
@@ -85,22 +86,24 @@ def cmd_recognize(args) -> int:
     cubic = is_cubic(g)
     claw = find_claw(g)
     bridges = sorted(find_bridges(g))
+    connected = g.is_connected()
     print(f"vertices: {g.n}")
     print(f"edges: {g.m}")
-    print(f"connected: {g.is_connected()}")
+    print(f"connected: {connected}")
     print(f"cubic: {cubic}")
     print(f"claw-free: {claw is None}")
     if claw is not None:
         print(f"claw: center {claw.center} leaves {list(claw.leaves)}")
-    print(f"two-edge-connected: {is_two_edge_connected(g)}")
+    print(f"two-edge-connected: {g.n >= 2 and connected and not bridges}")
     print(f"bridges: {bridges}")
     return EXIT_OK if cubic and claw is None else EXIT_NEGATIVE
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
-    if find_bridges(g):
-        bd = bridge_decompose(g)
+    bridges = require_clawfree_cubic(g)
+    if bridges:
+        bd = bridge_decompose(g, bridges)
         doc = {
             "kind": "bridge-tree",
             "bridges": sorted(bd.bridges),

@@ -37,11 +37,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import INFINITE, EdgeId, GraphError, MultiGraph, VertexId
 from .matching import two_factor_containing
-from .recognize import BridgeSet, find_bridges, find_claw, is_cubic
+from .recognize import (BridgeSet, NotClawFree, NotConnected, NotCubic,
+                        require_clawfree_cubic)  # the errors are re-exported
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
                         RING_OF_DIAMONDS, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, component_boundary, is_k4, oum_decompose)
+                        build_tilde, is_k4, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
@@ -64,18 +65,6 @@ class BadContext(GraphError):
 
 class AnchorOnTriangle(GraphError):
     """Anchored coloring asked for an anchor edge lying on a triangle."""
-
-
-class NotCubic(GraphError):
-    pass
-
-
-class NotClawFree(GraphError):
-    pass
-
-
-class NotConnected(GraphError):
-    pass
 
 
 class ColoringFailed(GraphError):
@@ -387,6 +376,9 @@ def color_2ec(g: MultiGraph, anchor: Optional[EdgeId] = None
               ) -> EdgeColoring:
     """Packing edge-coloring of a 2-edge-connected claw-free cubic graph.
 
+    That precondition is checked by `require_clawfree_cubic` in
+    `color_graph` (and argued for a tilde in `build_tilde`), not here.
+
     K4 and rings of diamonds get proper 3-edge-colorings; otherwise every
     lifted cycle of a 2-factor of H is colored from its start connector
     (1a on an even cycle, the 3a on an odd one; see `_start_slot`).
@@ -515,9 +507,7 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
         elif kind == DIAMOND_COMPONENT:
             col = _diamonds_coloring(g, [bd.diamonds[idx]], emap)
         else:
-            boundary = component_boundary(g, bd.bridges, bd.vertices[idx],
-                                          up.p if up else None)
-            col = color_component(g, bd.bridges, emap, boundary)
+            col = color_component(g, bd.bridges, emap, bd.boundaries[idx])
         if up is not None:
             bridge_color = _missing_color_at(g, bd.bridges, final, up.q)
             final[up.bridge] = bridge_color
@@ -538,18 +528,11 @@ def color_graph(g: MultiGraph) -> EdgeColoring:
     otherwise the bridge tree is colored top-down, every bridge taking the
     matching color missing at its parent endpoint and every child permuting
     its matching colors so that same color is missing at its own endpoint.
-    The result is checked once with `verify`; a rejection raises
-    ColoringFailed.
+    The input is checked once, by `require_clawfree_cubic`, which raises
+    NotConnected, NotCubic or NotClawFree.  The result is checked once with
+    `verify`; a rejection raises ColoringFailed.
     """
-    if not g.is_connected():
-        raise NotConnected("input graph is not connected")
-    if not is_cubic(g):
-        raise NotCubic(f"degree sequence {g.degree_sequence()}")
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")
-
-    bridges = find_bridges(g)
+    bridges = require_clawfree_cubic(g)
     coloring = _color_bridge_tree(g, bridges) if bridges else color_2ec(g)
     failures = verify(g, coloring, DEFAULT_SPEC)
     if failures:

@@ -16,7 +16,8 @@ from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .graph import (EdgeId, GraphError, MultiGraph, VertexId,
                     are_isomorphic_small, build_graph, relabel_to_ints)
-from .recognize import find_bridges, find_claw, is_cubic, is_two_edge_connected
+from .recognize import (find_bridges, is_cubic, is_two_edge_connected,
+                        require_clawfree_cubic)
 from .structure import component_boundary
 
 
@@ -177,7 +178,8 @@ def gen_big_component(chain_lengths: Tuple[int, ...]) -> MultiGraph:
         edges.append((prev, tri[(j + 1) % r][2]))   # into w of next triangle
     out, mapping = relabel_to_ints(build_graph(edges))
     # raises if the boundary claims fail
-    boundary = component_boundary(out, frozenset(), out.vertices)
+    degree2 = [v for v in out.vertices if out.degree(v) == 2]
+    boundary = component_boundary(out, frozenset(), degree2)
     assert boundary.r == r
     return out
 
@@ -290,8 +292,8 @@ def gen_random_clawfree_cubic(seed: int, h_vertices: int = 8,
     """Random connected claw-free cubic graph, a pure function of the seed.
 
     Bridgeless graphs come from a random substitution plan; bridged ones
-    from a random tree of components.  The output is checked before being
-    returned.
+    from a random tree of components.  The output is checked by
+    `require_clawfree_cubic` before being returned.
     """
     rng = random.Random(seed)
     if bridged:
@@ -301,9 +303,8 @@ def gen_random_clawfree_cubic(seed: int, h_vertices: int = 8,
         strings = {eid: rng.randint(1, 3) for eid in h.edge_ids
                    if rng.random() < string_chance}
         g = gen_substituted(SubstitutionPlan(h, strings))
-    if not is_cubic(g) or find_claw(g) is not None or not g.is_connected():
-        raise GenerationFailed(f"seed {seed} produced an invalid graph")
-    if bridged and not find_bridges(g):
+    bridges = require_clawfree_cubic(g)
+    if bridged and not bridges:
         raise GenerationFailed(f"seed {seed} produced no bridge")
     return g
 

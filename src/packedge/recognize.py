@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .graph import EdgeId, MultiGraph, VertexId
+from .graph import EdgeId, GraphError, MultiGraph, VertexId
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,18 @@ class ClawWitness:
 
 
 BridgeSet = FrozenSet[EdgeId]
+
+
+class NotConnected(GraphError):
+    pass
+
+
+class NotCubic(GraphError):
+    pass
+
+
+class NotClawFree(GraphError):
+    pass
 
 
 def is_cubic(g: MultiGraph) -> bool:
@@ -91,3 +103,17 @@ def find_bridges(g: MultiGraph) -> BridgeSet:
 def is_two_edge_connected(g: MultiGraph) -> bool:
     """Connected, at least two vertices, and bridgeless."""
     return g.n >= 2 and g.is_connected() and not find_bridges(g)
+
+
+def require_clawfree_cubic(g: MultiGraph) -> BridgeSet:
+    """The bridges of g, once checked to be a connected claw-free cubic
+    graph (else NotConnected, NotCubic or NotClawFree): the one check of the
+    pipeline's input class, which no later stage repeats."""
+    if not g.is_connected():
+        raise NotConnected("input graph is not connected")
+    if not is_cubic(g):
+        raise NotCubic(f"degree sequence {g.degree_sequence()}")
+    claw = find_claw(g)
+    if claw is not None:
+        raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")
+    return find_bridges(g)

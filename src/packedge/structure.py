@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, build_graph
-from .recognize import BridgeSet, claw_at, find_bridges, is_cubic
+from .recognize import BridgeSet, claw_at, find_bridges
 
 IS_K4 = "k4"
 RING_OF_DIAMONDS = "ring-of-diamonds"
@@ -171,11 +171,13 @@ def _external_exit(g: MultiGraph, d: Diamond, x: VertexId
 
 
 def _strings_of(g: MultiGraph, diamonds: List[Diamond]
-                ) -> List[DiamondString]:
-    """Group the diamonds of g into maximal strings.
+                ) -> Optional[List[DiamondString]]:
+    """Group the diamonds of g into maximal strings, or None if they form a
+    ring: k >= 2 disjoint diamonds on all 4k vertices of a connected g, every
+    external's outside edge reaching another diamond.
 
     Raises NotDecomposable if diamonds overlap or chain into a closed cycle
-    (a closed cycle of diamonds is a ring, which is handled elsewhere).
+    that is not such a ring.
     """
     owner: Dict[VertexId, int] = {}
     for i, d in enumerate(diamonds):
@@ -192,6 +194,10 @@ def _strings_of(g: MultiGraph, diamonds: List[Diamond]
             eid, u = _external_exit(g, d, x)
             entries.append((eid, x, u, owner.get(u)))
         links[i] = entries
+    if len(diamonds) >= 2 and 4 * len(diamonds) == g.n and all(
+            o not in (None, i) for i, entries in links.items()
+            for (_, _, _, o) in entries) and g.is_connected():
+        return None
 
     strings: List[DiamondString] = []
     used: Set[int] = set()
@@ -262,40 +268,6 @@ def _orient_string(g, diamonds, links, chain) -> DiamondString:
         connectors=tuple(connectors),
         attach_left=left[2], attach_left_edge=left[0],
         attach_right=right[2], attach_right_edge=right[0])
-
-
-def _ring_size(g: MultiGraph, diamonds: List[Diamond]) -> Optional[int]:
-    """k if its k >= 2 `diamonds` close into a ring covering g, else None."""
-    k = len(diamonds)
-    if k < 2 or 4 * k != g.n:
-        return None
-    owner: Dict[VertexId, int] = {}
-    for i, d in enumerate(diamonds):
-        for v in d.vertices:
-            if v in owner:
-                return None
-            owner[v] = i
-    if len(owner) != g.n:
-        return None
-    # every external's unique outside edge must reach another diamond, and the
-    # diamond-level multigraph must be a single closed cycle
-    degree = [0] * k
-    seen_conn: Set[EdgeId] = set()
-    for i, d in enumerate(diamonds):
-        for x in d.external:
-            try:
-                eid, u = _external_exit(g, d, x)
-            except NotDecomposable:
-                return None
-            if u not in owner or owner[u] == i:
-                return None
-            degree[i] += 1
-            seen_conn.add(eid)
-    if any(deg != 2 for deg in degree):
-        return None
-    if len(seen_conn) != k:
-        return None
-    return k if g.is_connected() else None
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +363,22 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
     K4 and rings of diamonds are reported as their own variants; anything
     else is expressed as a cubic multigraph H with every vertex substituted
     by a triangle and some H-edges realized as strings of diamonds.
-    Raises NotDecomposable when the input cannot have satisfied the
-    precondition.
+
+    The precondition is not checked here: `color_graph` checks g with
+    `require_clawfree_cubic`, and `build_tilde` argues it for a tilde.  Nor
+    is H re-checked.  It is cubic: the corner check gives each triangle one
+    H-edge per corner, and H has no loops.  It is bridgeless: a bridge of H
+    would make its plain edge, or each attachment edge of its string, a
+    bridge of g.  Input outside the precondition may raise NotDecomposable.
     """
     if is_k4(g):
         return OumDecomposition(variant=IS_K4)
     diamonds = find_diamonds(g)
-    ring = _ring_size(g, diamonds)
-    if ring is not None:
-        return OumDecomposition(variant=RING_OF_DIAMONDS, ring_size=ring,
-                                diamonds=tuple(diamonds))
-
     strings = _strings_of(g, diamonds)
+    if strings is None:
+        return OumDecomposition(variant=RING_OF_DIAMONDS,
+                                ring_size=len(diamonds),
+                                diamonds=tuple(diamonds))
     string_verts: Set[VertexId] = set()
     for s in strings:
         string_verts |= s.vertices
@@ -467,10 +443,6 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
         triangles[tv].corner_for[h_eid] = corner_b
 
     h = build_graph(h_pairs, vertices=range(len(triangles)))
-    if not is_cubic(h):
-        raise NotDecomposable("contracted multigraph H is not cubic")
-    if find_bridges(h):
-        raise NotDecomposable("contracted multigraph H has a bridge")
     for ti, tri in enumerate(triangles):
         if sorted(tri.corner_for.values()) != sorted(tri.vertices):
             raise NotDecomposable(
@@ -499,12 +471,14 @@ class UpEdge:
 class BridgeDecomposition:
     """Components of g minus its bridges, indexed in parallel: component i
     has the sorted `vertices[i]`, its edges `edge_maps[i]` in increasing G
-    edge id, its shape `kinds[i]` and, for a diamond, `diamonds[i]` (in G's
-    edge ids; None for the other kinds)."""
+    edge id, its shape `kinds[i]`, for a diamond `diamonds[i]` (in G's edge
+    ids) and for a big component its `boundaries[i]`, v_1 at its up edge
+    (each None for the other kinds)."""
     bridges: FrozenSet[EdgeId]
     vertices: Tuple[Tuple[VertexId, ...], ...]
     kinds: Tuple[str, ...]
     diamonds: Tuple[Optional[Diamond], ...]
+    boundaries: Tuple[Optional[ComponentBoundary], ...]
     edge_maps: Tuple[Tuple[EdgeId, ...], ...]
     tree: Tuple[Tuple[int, ...], ...]
     root: int
@@ -513,8 +487,10 @@ class BridgeDecomposition:
 
 
 def _component_shape(g: MultiGraph, verts: List[VertexId],
-                     emap: List[EdgeId]) -> Tuple[str, Optional[Diamond]]:
-    """The kind of one component of g minus its bridges, and its diamond.
+                     emap: List[EdgeId]
+                     ) -> Tuple[str, Optional[Diamond], List[VertexId]]:
+    """The kind of one component of g minus its bridges, its diamond, and
+    its vertices of degree 2 in the component, in order.
 
     A simple graph on three vertices with three edges is K3, and one on four
     vertices with five edges is K4 minus an edge: a diamond whose internal
@@ -522,20 +498,20 @@ def _component_shape(g: MultiGraph, verts: List[VertexId],
     """
     n, m = len(verts), len(emap)
     deg = Counter(v for eid in emap for v in g.endpoints(eid))
+    degree2 = [v for v in verts if deg[v] == 2]
     if len({frozenset(g.endpoints(eid)) for eid in emap}) == m:
         if n == 3 and m == 3:
-            return K3_COMPONENT, None
+            return K3_COMPONENT, None, degree2
         if n == 4 and m == 5:
             internal = tuple(v for v in verts if deg[v] == 3)
-            external = tuple(v for v in verts if deg[v] == 2)
             internal_edge = next(eid for eid in emap
                                  if set(g.endpoints(eid)) == set(internal))
             return DIAMOND_COMPONENT, Diamond(
-                internal=internal, external=external,
-                internal_edge=internal_edge, edges=frozenset(emap))
+                internal=internal, external=tuple(degree2),
+                internal_edge=internal_edge, edges=frozenset(emap)), degree2
     degs = tuple(sorted(deg[v] for v in verts))
     if n >= 5 and degs[-1] == 3:
-        return BIG_COMPONENT, None
+        return BIG_COMPONENT, None, degree2
     raise ClassificationFailed(
         f"component (n={n}, m={m}, degrees={degs}) matches no case")
 
@@ -544,13 +520,15 @@ def bridge_decompose(g: MultiGraph,
                      bridges: Optional[BridgeSet] = None) -> BridgeDecomposition:
     """Components of g minus its bridges, typed, with the rooted bridge tree.
 
-    `bridges` is the bridge set of g, found here when not given.  Every
-    component is a K3, a diamond or a big component (n >= 5, maximum degree
-    3); any other shape raises ClassificationFailed.  A component of g minus
-    its bridges is 2-edge-connected by definition, so that is not checked
-    again.  The tree is rooted at the smallest component index whose
-    eccentricity equals the tree's diameter (a leaf on a longest path), and
-    every non-root component records the bridge to its parent.
+    g is a connected claw-free cubic graph, as `require_clawfree_cubic`
+    checks, and `bridges` its bridge set, which that gate returns (found
+    here when not given).  Every component is a K3, a diamond or a big
+    component (n >= 5, maximum degree 3); any other shape raises
+    ClassificationFailed.  A component of g minus its bridges is
+    2-edge-connected by definition, so that is not checked again.  The tree
+    is rooted at the smallest component index whose eccentricity equals the
+    tree's diameter (a leaf on a longest path), and every non-root component
+    records the bridge to its parent, where a big one's boundary starts.
 
     The work is linear in m.  One sweep over the edges splits them into
     components, and three BFS passes give every eccentricity: a is a node
@@ -593,8 +571,8 @@ def bridge_decompose(g: MultiGraph,
     for eid in g.edge_ids:
         if eid not in bridges:
             edge_maps[part[g.endpoints(eid)[0]]].append(eid)
-    kinds, diamonds = zip(*(_component_shape(g, verts, emap)
-                            for verts, emap in zip(groups, edge_maps)))
+    kinds, diamonds, degree2s = zip(*(_component_shape(g, verts, emap)
+                                      for verts, emap in zip(groups, edge_maps)))
 
     adj: List[Set[int]] = [set() for _ in range(c)]
     tree_edges: Dict[Tuple[int, int], EdgeId] = {}
@@ -642,10 +620,14 @@ def bridge_decompose(g: MultiGraph,
         p, q = (u, v) if part[u] == child else (v, u)
         up[child] = UpEdge(p=p, q=q, bridge=eid)
     assert all(up[i] is not None for i in range(c) if i != root)
+    boundaries = tuple(
+        component_boundary(g, bridges, degree2s[i],
+                           up[i].p if up[i] else None)
+        if kinds[i] == BIG_COMPONENT else None for i in range(c))
 
     return BridgeDecomposition(
         bridges=bridges, vertices=tuple(tuple(vs) for vs in groups),
-        kinds=kinds, diamonds=diamonds,
+        kinds=kinds, diamonds=diamonds, boundaries=boundaries,
         edge_maps=tuple(tuple(emap) for emap in edge_maps), tree=tree,
         root=root, levels=tuple(levels), up_edges=tuple(up))
 
@@ -670,33 +652,35 @@ class ComponentBoundary:
 
 
 def component_boundary(g: MultiGraph, bridges: BridgeSet,
-                       vertices: Iterable[VertexId],
+                       degree2: Iterable[VertexId],
                        up_vertex: Optional[VertexId] = None
                        ) -> ComponentBoundary:
-    """Ordered boundary of the big component of g on `vertices`, whose
-    edges are their edges in g outside `bridges` (a standalone component is
-    all of g with no bridges); v_1 = up_vertex when given.
+    """Ordered boundary of a big component of g, given its vertices of
+    degree 2 in the component, whose edges are their edges in g outside
+    `bridges` (a standalone component is all of g with no bridges); v_1 =
+    up_vertex when given, the others in increasing order.
 
     Checks the structural claims the coloring relies on: every degree-2
     vertex lies on a triangle, the degree-2 vertices are independent, and
-    the outward extensions s_j, b_j are distinct degree-3 vertices.
+    the outward extensions s_j, b_j are distinct degree-3 vertices, each
+    claim from the edges near one degree-2 vertex.
     """
     def inner(v: VertexId) -> List[VertexId]:
         return [u for eid, u in g.incident(v) if eid not in bridges]
 
-    deg2 = sorted(v for v in vertices if len(inner(v)) == 2)
+    deg2 = sorted(degree2)
+    boundary = set(deg2)
     if up_vertex is not None:
-        if up_vertex not in deg2:
+        if up_vertex not in boundary:
             raise ClaimViolation("up-vertex-degree", up_vertex)
         deg2 = [up_vertex] + [v for v in deg2 if v != up_vertex]
-    for i, a in enumerate(deg2):
-        for bb in deg2[i + 1:]:
-            if g.has_edge(a, bb):
-                raise ClaimViolation("independent-set", (a, bb))
 
     us, ws, ss, bs = [], [], [], []
     for v in deg2:
         nbrs = sorted(set(inner(v)))
+        adjacent = boundary.intersection(nbrs)
+        if adjacent:
+            raise ClaimViolation("independent-set", (v, min(adjacent)))
         if len(nbrs) != 2:
             raise ClaimViolation("boundary-degree", v)
         uj, wj = nbrs

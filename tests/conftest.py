@@ -71,7 +71,8 @@ def random_connected_graph(rng: random.Random, max_n: int = 30):
 def whole_boundary(g, up_vertex=None):
     """The boundary of g read as a standalone big component: all of g, no
     bridges."""
-    return component_boundary(g, frozenset(), g.vertices, up_vertex)
+    degree2 = [v for v in g.vertices if g.degree(v) == 2]
+    return component_boundary(g, frozenset(), degree2, up_vertex)
 
 
 def diamond_path(rng: random.Random, d: int):

@@ -110,6 +110,13 @@ def collect_diamond_strings(g):
     return _strings_of(g, find_diamonds(g))
 
 
+def check_h(dec):
+    """Assert what `oum_decompose` argues instead of checking: the H of a
+    substituted decomposition is cubic and bridgeless."""
+    if dec.h is not None:
+        assert is_cubic(dec.h) and not find_bridges_bruteforce(dec.h)
+
+
 def reconstruct(dec):
     """A fresh graph from an `OumDecomposition`'s data (for round-trips)."""
     if dec.variant == IS_K4:
@@ -128,7 +135,8 @@ def build_tilde_reference(g, vertices, edge_ids, up_vertex=None):
     per tilde edge, its g edge id (None for an added edge)."""
     comp = MultiGraph([g.endpoints(eid) for eid in edge_ids],
                       vertices=vertices)
-    b = component_boundary(comp, frozenset(), comp.vertices, up_vertex)
+    b = component_boundary(comp, frozenset(), [
+        v for v in comp.vertices if comp.degree(v) == 2], up_vertex)
     v = b.degree2
     if b.r % 2 == 0:
         kept = list(comp.edge_ids)

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -150,10 +153,61 @@ def test_decompose_bridged_kinds(tmp_path, capsys):
 
 
 def test_decompose_unclassifiable_component_is_usage_error(tmp_path, capsys):
+    # the input gate rejects the path before any component is typed;
+    # ClassificationFailed itself is pinned in test_structure
     graph_file = tmp_path / "path.json"
     graph_file.write_text(write_edge_list(build_graph([(0, 1), (1, 2)])))
-    code, _, err = run(capsys, "decompose", str(graph_file))
-    assert code == 2 and "matches no case" in err
+    code, out, err = run(capsys, "decompose", str(graph_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: degree sequence (1, 1, 2)")
+
+
+def subdivided_k33_pair():
+    """Two K3,3s, one edge of each subdivided, the two subdivision vertices
+    joined by a bridge: connected, cubic, bridged, every K3,3 vertex a claw
+    center."""
+    def half(o):
+        edges = [(a + o, b + o) for a in range(3) for b in range(3, 6)
+                 if (a, b) != (0, 3)]
+        return edges + [(o, o + 6), (o + 6, o + 3)]
+    return build_graph(half(0) + half(7) + [(6, 13)])
+
+
+def two_prisms():
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+             (0, 3), (1, 4), (2, 5)]
+    return build_graph(prism + [(a + 6, b + 6) for a, b in prism])
+
+
+@pytest.mark.parametrize("make,error", [
+    (subdivided_k33_pair, "error: claw at"),
+    (two_prisms, "error: input graph is not connected"),
+], ids=["clawed-bridged", "two-prisms"])
+def test_decompose_rejects_input_outside_the_class(tmp_path, capsys, make,
+                                                   error):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(write_edge_list(make()))
+    for command in ("decompose", "color"):
+        code, out, err = run(capsys, command, str(graph_file))
+        assert code == 2 and out == ""
+        assert err.startswith(error) and err.count("\n") == 1
+
+
+# sha256 of `packedge decompose`'s output over build_corpus(), one graph
+# after the other, computed before the input gate was added to decompose
+CORPUS_DECOMPOSE_SHA256 = \
+    "f1463179e6f45e3f8bae0447c464a326be3cd9a25e36f55f8ee349713a47559e"
+
+
+def test_decompose_json_unchanged_on_corpus(corpus, capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for entry in corpus:
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(write_edge_list(entry.graph)))
+        code, out, _ = run(capsys, "decompose", "-")
+        assert code == 0, entry.name
+        digest.update(out.encode())
+    assert digest.hexdigest() == CORPUS_DECOMPOSE_SHA256
 
 
 def test_gen_graph6_format(capsys):

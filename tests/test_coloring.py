@@ -25,7 +25,7 @@ from packedge.formats import write_coloring
 from packedge.graph import UnknownEdge, build_graph
 from packedge.matching import two_factor_containing
 from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
-                                build_tilde, component_boundary, oum_decompose)
+                                build_tilde, oum_decompose)
 from packedge.verify import verify
 
 from conftest import (bushy_tree, diamond_path, random_connected_graph,
@@ -272,9 +272,7 @@ def test_anchored_odd_boundary_components(seed):
     for idx, kind in enumerate(bd.kinds):
         if kind != BIG_COMPONENT:
             continue
-        up = bd.up_edges[idx]
-        boundary = component_boundary(g, bd.bridges, bd.vertices[idx],
-                                      up.p if up is not None else None)
+        boundary = bd.boundaries[idx]
         if boundary.r % 2 == 0:
             continue
         tc = build_tilde(g, bd.edge_maps[idx], boundary)

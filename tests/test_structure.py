@@ -1,25 +1,27 @@
+import importlib
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 import packedge.recognize as recognize
 from conftest import bushy_tree, diamond_path, whole_boundary
-from reference import (build_tilde_reference, connected_components,
+from reference import (build_tilde_reference, check_h, connected_components,
                        induced_subgraph, reconstruct)
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_big_component, gen_bridged, BridgedPlan,
                                gen_leaf7, gen_random_clawfree_cubic, gen_ring,
                                gen_substituted)
-from packedge.graph import are_isomorphic_small, build_graph
+from packedge.graph import MultiGraph, are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
 from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
                                 ClaimViolation, ClassificationFailed,
-                                ComponentBoundary, Diamond, NoBridges, UpEdge,
-                                bridge_decompose, build_tilde,
-                                component_boundary, find_diamonds, is_k4,
+                                ComponentBoundary, Diamond, NoBridges,
+                                NotDecomposable, UpEdge, bridge_decompose,
+                                build_tilde, find_diamonds, is_k4,
                                 oum_decompose)
 
 
@@ -389,8 +391,8 @@ def test_bridge_decompose_component_count_matches_bridges():
 
 def test_one_bridge_search_per_color_graph(monkeypatch):
     import packedge.coloring as coloring
-    g = gen_random_clawfree_cubic(701, bridged=True)
     searched = recorded_calls(monkeypatch, "find_bridges")
+    cubic = recorded_calls(monkeypatch, "is_cubic")
     tildes = recorded_tildes(monkeypatch)
     hs = []
     real_oum = coloring.oum_decompose
@@ -401,11 +403,15 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
             hs.append(dec.h)
         return dec
     monkeypatch.setattr(coloring, "oum_decompose", recorded_oum)
-    coloring.color_graph(g)
-    # once on g, then once per substituted tilde on its H; never on a tilde
-    assert tildes and hs
-    assert [id(h) for h in searched] == [id(g)] + [id(h) for h in hs]
-    assert not {id(t) for t in tildes} & {id(h) for h in searched}
+    for bridged in (True, False):
+        g = gen_random_clawfree_cubic(701, bridged=bridged)
+        del searched[:], cubic[:], tildes[:], hs[:]
+        coloring.color_graph(g)
+        # the input gate searches g once; no H and no tilde is searched or
+        # checked cubic again
+        assert hs and bool(tildes) == bridged
+        assert [id(x) for x in searched] == [id(g)]
+        assert [id(x) for x in cubic] == [id(g)]
 
 
 def test_component_shapes_come_from_bridge_decompose(monkeypatch):
@@ -424,6 +430,45 @@ def test_component_shapes_come_from_bridge_decompose(monkeypatch):
     # the tildes' claims are checked locally: no whole-graph re-check
     assert two_ec == []
     assert len(claws) == 1 and claws[0] is g
+
+
+def ladder_graphs(seed):
+    """The graphs of perfbench's `ladder` workload for one seed."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(perfbench))
+    return [inp.graph for inp in workloads.build_ladder_workload(seed)]
+
+
+def test_every_h_is_cubic_and_bridgeless(corpus, monkeypatch):
+    import packedge.coloring as coloring
+    real_oum = coloring.oum_decompose
+    variants = []
+
+    def checked_oum(g):
+        dec = real_oum(g)
+        check_h(dec)
+        variants.append(dec.variant)
+        return dec
+    monkeypatch.setattr(coloring, "oum_decompose", checked_oum)
+    graphs = [e.graph for e in corpus]
+    for seed in (1, 2, 3):
+        graphs += ladder_graphs(seed)
+    graphs += [bushy_tree(random.Random(1), 60),
+               diamond_path(random.Random(3), 400)]
+    for g in graphs:
+        coloring.color_graph(g)
+    assert variants.count(SUBSTITUTED) > 800
+
+
+def test_oum_decompose_rejects_two_disjoint_rings():
+    ring = gen_ring(3).edge_list()
+    g = build_graph(list(ring) + [(u + 12, v + 12) for u, v in ring])
+    with pytest.raises(NotDecomposable):
+        oum_decompose(g)
 
 
 def test_two_thousand_diamond_path():
@@ -517,6 +562,36 @@ def test_boundary_rejects_adjacent_degree2():
     with pytest.raises(ClaimViolation) as err:
         whole_boundary(c4)
     assert err.value.claim == "independent-set"
+
+
+def test_hub_boundary_is_linear(monkeypatch):
+    # a big hub with r boundary vertices, each bridged to a 7-vertex leaf:
+    # the boundary claims read only the edges near each boundary vertex
+    import packedge.coloring as coloring
+    import packedge.structure as structure
+    r = 2000
+    g = gen_bridged(BridgedPlan(parents=(0,) * r, recipes=(
+        ("big", (1,) * r),) + (("big", (1,)),) * r))
+    boundaries = []
+    real_boundary = structure.component_boundary
+
+    def recorded_boundary(*args):
+        boundaries.append(real_boundary(*args))
+        return boundaries[-1]
+    monkeypatch.setattr(structure, "component_boundary", recorded_boundary)
+    probes = 0
+    real_has_edge = MultiGraph.has_edge
+
+    def counted_has_edge(self, u, v):
+        nonlocal probes
+        probes += 1
+        return real_has_edge(self, u, v)
+    monkeypatch.setattr(MultiGraph, "has_edge", counted_has_edge)
+    coloring.color_graph(g)
+    assert probes <= 100 * r
+    # one boundary per big component, all made by bridge_decompose
+    assert sorted(b.r for b in boundaries) == [1] * r + [r]
+    assert not hasattr(coloring, "component_boundary")
 
 
 # a mutated component, or a hand-built boundary on one, for every claim
@@ -622,8 +697,7 @@ def test_tilde_always_clawfree_cubic_2ec():
                 continue
             up = bd.up_edges[i]
             p = up.p if up else None
-            b = component_boundary(g, bd.bridges, bd.vertices[i], p)
-            tc = build_tilde(g, bd.edge_maps[i], b)
+            tc = build_tilde(g, bd.edge_maps[i], bd.boundaries[i])
             ref, shared = build_tilde_reference(
                 g, bd.vertices[i], bd.edge_maps[i], p)
             assert tc.tilde.edge_list() == ref.edge_list()
