@@ -3,8 +3,8 @@
 Subcommands: recognize, decompose, color, verify, oracle, gen, corpus.
 Graphs are read from files or stdin, either as a graph6 line or as a JSON
 edge-list document (autodetected).  Exit codes: 0 success / positive
-verdict, 1 negative verdict (claw found, invalid coloring, infeasible),
-2 resource exhaustion or usage errors.
+verdict, 1 negative verdict (not cubic, parallel edges or a claw found,
+invalid coloring, infeasible), 2 resource exhaustion or usage errors.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ def _write_out(path: Optional[str], text: str) -> None:
 def cmd_recognize(args) -> int:
     g = _load_graph(args.graph)
     cubic = is_cubic(g)
+    simple = g.is_simple()
     claw = find_claw(g)
     bridges = sorted(find_bridges(g))
     connected = g.is_connected()
@@ -91,12 +92,13 @@ def cmd_recognize(args) -> int:
     print(f"edges: {g.m}")
     print(f"connected: {connected}")
     print(f"cubic: {cubic}")
+    print(f"simple: {simple}")
     print(f"claw-free: {claw is None}")
     if claw is not None:
         print(f"claw: center {claw.center} leaves {list(claw.leaves)}")
     print(f"two-edge-connected: {g.n >= 2 and connected and not bridges}")
     print(f"bridges: {bridges}")
-    return EXIT_OK if cubic and claw is None else EXIT_NEGATIVE
+    return EXIT_OK if cubic and simple and claw is None else EXIT_NEGATIVE
 
 
 def cmd_decompose(args) -> int:

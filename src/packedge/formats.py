@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from .graph import EdgeId, GraphError, MultiGraph, build_graph
+from .graph import EdgeId, GraphError, MultiGraph, NotSimple, build_graph
 
 GRAPH6_MAX_SHORT = 62
 GRAPH6_MAX_LONG = 258047
@@ -24,10 +24,6 @@ class MalformedGraph6(GraphError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
         self.offset = offset
-
-
-class NotSimple(GraphError):
-    """graph6 can only encode simple graphs."""
 
 
 class MalformedDocument(GraphError):

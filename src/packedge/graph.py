@@ -25,6 +25,10 @@ class LoopRejected(GraphError):
     """An edge joining a vertex to itself was supplied."""
 
 
+class NotSimple(GraphError):
+    """A graph with parallel edges where a simple graph is required."""
+
+
 class UnknownEdge(GraphError):
     """An edge id that does not belong to the graph."""
 
@@ -125,13 +129,8 @@ class MultiGraph:
         return False
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self._edges:
-            key = frozenset((u, v))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return len({(u, v) if u < v else (v, u)
+                    for u, v in self._edges}) == self.m
 
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted(self.degree(v) for v in self._vertices))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .graph import EdgeId, GraphError, MultiGraph, VertexId
+from .graph import EdgeId, GraphError, MultiGraph, NotSimple, VertexId
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,15 @@ def is_two_edge_connected(g: MultiGraph) -> bool:
 
 
 def require_clawfree_cubic(g: MultiGraph) -> BridgeSet:
-    """The bridges of g, once checked to be a connected claw-free cubic
-    graph (else NotConnected, NotCubic or NotClawFree): the one check of the
-    pipeline's input class, which no later stage repeats."""
+    """The bridges of g, once checked to be a connected simple claw-free
+    cubic graph (else NotConnected, NotCubic, NotSimple or NotClawFree): the
+    one check of the pipeline's input class, which no later stage repeats."""
     if not g.is_connected():
         raise NotConnected("input graph is not connected")
     if not is_cubic(g):
         raise NotCubic(f"degree sequence {g.degree_sequence()}")
+    if not g.is_simple():
+        raise NotSimple("input graph has parallel edges")
     claw = find_claw(g)
     if claw is not None:
         raise NotClawFree(f"claw at {claw.center!r} with leaves {claw.leaves}")

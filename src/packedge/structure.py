@@ -3,7 +3,10 @@
 Two structures are computed here.  For 2-edge-connected inputs: the
 triangle-and-diamond-string decomposition (the graph is K4, a ring of
 diamonds, or a cubic multigraph H with every vertex blown up into a triangle
-and some edges realized as strings of diamonds).  For inputs with bridges:
+and some edges realized as strings of diamonds).  It reads each vertex's
+local shape straight from g: in a simple claw-free cubic graph, the number
+of edges among a vertex's three neighbours is 1 on exactly one triangle,
+2 inside a diamond, and 3 only in K4.  For inputs with bridges:
 the bridge tree, whose components are typed once, as they are cut, as K3s,
 diamonds or big components; boundary data for the degree-2 vertices of a
 big component; and its cubic completion ("tilde").
@@ -82,34 +85,38 @@ class Diamond:
         return pairs[0], pairs[1]
 
 
-def find_diamonds(g: MultiGraph) -> List[Diamond]:
-    """All induced diamonds, each reported once via its internal edge.
+def _links(g: MultiGraph, v: VertexId) -> List[Tuple[VertexId, VertexId]]:
+    """The adjacent pairs among v's neighbours, or [] unless v has exactly
+    three distinct neighbours."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 3:
+        return []
+    a, b, c = nbrs
+    return [p for p in ((a, b), (a, c), (b, c)) if g.has_edge(*p)]
 
-    Each candidate quad is checked from the incident edges of its four
-    vertices alone, so the scan is linear in m on graphs of bounded degree.
+
+def find_diamonds(g: MultiGraph) -> List[Diamond]:
+    """All induced diamonds of a simple graph of maximum degree 3, by
+    internal pair.
+
+    A vertex z with two links is internal: its partner w is the neighbour in
+    both links, and the other two neighbours are the externals.  w then has
+    the same three links, so each diamond is reported once, from the smaller
+    of z and w.  The scan is linear in m.
     """
     out = []
-    nbrs = {v: {u for _, u in g.incident(v)} for v in g.vertices}
-    for eid in g.edge_ids:
-        z, w = g.endpoints(eid)
-        common = sorted(nbrs[z] & nbrs[w] - {z, w})
-        if len(common) != 2:
+    for z in g.vertices:
+        links = _links(g, z)
+        if len(links) != 2:
             continue
-        x, y = common
-        quad = frozenset((x, y, z, w))
-        dedges = frozenset(f for v in quad for f, u in g.incident(v)
-                           if u in quad)
-        wanted = {frozenset(p) for p in
-                  ((x, z), (x, w), (y, z), (y, w), (z, w))}
-        # exactly one edge per wanted pair and none between x and y; so
-        # each diamond is met once, at its only internal edge
-        if len(dedges) != 5 or \
-                {frozenset(g.endpoints(f)) for f in dedges} != wanted:
+        a, b = map(set, links)
+        (w,) = a & b
+        if w < z:
             continue
-        out.append(Diamond(internal=(min(z, w), max(z, w)),
-                           external=(x, y), internal_edge=eid,
-                           edges=dedges))
-    out.sort(key=lambda d: d.internal)
+        out.append(Diamond(
+            internal=(z, w), external=tuple(sorted(a ^ b)),
+            internal_edge=g.edge_between(z, w),
+            edges=frozenset(g.incident_edges(z) + g.incident_edges(w))))
     return out
 
 
@@ -329,40 +336,38 @@ def is_k4(g: MultiGraph) -> bool:
                for i in range(4) for j in range(i + 1, 4))
 
 
-def _triangle_partition(gp: MultiGraph) -> List[Tuple[VertexId, ...]]:
-    """Partition the vertices of gp into vertex-disjoint triangles."""
-    tri_of: Dict[VertexId, FrozenSet[VertexId]] = {}
-    for v in gp.vertices:
-        nbrs = gp.neighbors(v)
-        tris = {frozenset((v, a, b))
-                for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-                if gp.has_edge(a, b)}
-        if len(tris) != 1:
+def _triangle_partition(g: MultiGraph, string_verts: Set[VertexId]
+                        ) -> List[Tuple[VertexId, ...]]:
+    """The vertices of g outside `string_verts`, partitioned into triangles
+    sorted by smallest vertex: each such vertex has one link, and its
+    triangle is the one that link closes."""
+    tri_of: Dict[VertexId, Tuple[VertexId, ...]] = {}
+    for v in g.vertices:
+        if v in string_verts:
+            continue
+        links = _links(g, v)
+        if len(links) != 1:
             raise NotDecomposable(
-                f"vertex {v!r} lies in {len(tris)} triangles after "
-                "string contraction")
-        tri_of[v] = next(iter(tris))
-    triangles = sorted({t for t in tri_of.values()},
-                       key=lambda t: min(t))
-    cover: Set[VertexId] = set()
-    for t in triangles:
-        if cover & t:
-            raise NotDecomposable("triangles overlap after string contraction")
-        cover |= t
-        for v in t:
-            if tri_of[v] != t:
-                raise NotDecomposable("inconsistent triangle assignment")
-    if cover != set(gp.vertices):
-        raise NotDecomposable("triangles do not cover all non-string vertices")
-    return [tuple(sorted(t)) for t in triangles]
+                f"vertex {v!r} lies in {len(links)} triangles")
+        tri_of[v] = tuple(sorted((v,) + links[0]))
+    for tri in tri_of.values():
+        if any(tri_of.get(u) != tri for u in tri):
+            raise NotDecomposable(
+                f"triangle {tri} overlaps a string or another triangle")
+    return sorted(set(tri_of.values()))
 
 
 def oum_decompose(g: MultiGraph) -> OumDecomposition:
-    """Decompose a 2-edge-connected claw-free cubic graph.
+    """Decompose a 2-edge-connected simple claw-free cubic graph.
 
     K4 and rings of diamonds are reported as their own variants; anything
     else is expressed as a cubic multigraph H with every vertex substituted
-    by a triangle and some H-edges realized as strings of diamonds.
+    by a triangle and some H-edges realized as strings of diamonds.  The
+    diamonds and the triangles are read from g: every vertex outside the
+    strings lies on exactly one triangle.  H's edges are g's plain edges
+    between two triangles, then one edge per string, ordered by (smaller
+    triangle, larger triangle, plain before string, edge id or string
+    index).
 
     The precondition is not checked here: `color_graph` checks g with
     `require_clawfree_cubic`, and `build_tilde` argues it for a tilde.  Nor
@@ -383,59 +388,37 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
     for s in strings:
         string_verts |= s.vertices
 
-    # contract each string to one edge between its attachment vertices
-    base = [(eid, g.endpoints(eid)) for eid in g.edge_ids
-            if not (set(g.endpoints(eid)) & string_verts)]
-    gp_edges = [pair for _, pair in base]
-    provenance: List[Tuple[str, int]] = [("plain", eid) for eid, _ in base]
+    tri_sets = _triangle_partition(g, string_verts)
+    tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
+    triangles = [Triangle(vertices=(a, b, c), edge_ids=(
+        g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
+        for a, b, c in tri_sets]
+
+    # H's edges: (smaller triangle, larger triangle, is string, edge id or
+    # string index, one end, other end)
+    inter = []
+    for eid, (u, v) in enumerate(g.edge_list()):
+        if u in tri_index and v in tri_index and tri_index[u] != tri_index[v]:
+            tu, tv = sorted((tri_index[u], tri_index[v]))
+            inter.append((tu, tv, False, eid, u, v))
     for si, s in enumerate(strings):
-        gp_edges.append((s.attach_left, s.attach_right))
-        provenance.append(("string", si))
-    gp = build_graph(gp_edges)
-
-    tri_sets = _triangle_partition(gp)
-    tri_index: Dict[VertexId, int] = {}
-    for ti, tri in enumerate(tri_sets):
-        for v in tri:
-            tri_index[v] = ti
-
-    triangles = []
-    for tri in tri_sets:
-        a, b, c = tri
-        eids = []
-        for pair in ((a, b), (a, c), (b, c)):
-            eid = g.edge_between(*pair)
-            if eid is None:
-                raise NotDecomposable(f"triangle {tri} missing edge {pair}")
-            eids.append(eid)
-        triangles.append(Triangle(vertices=tri, edge_ids=tuple(eids)))
-
-    # inter-triangle edges of the contracted graph become the edges of H
+        tu, tv = sorted((tri_index[s.attach_left], tri_index[s.attach_right]))
+        if tu == tv:
+            raise NotDecomposable(
+                "a diamond string attaches twice to one triangle")
+        inter.append((tu, tv, True, si, s.attach_left, s.attach_right))
+    inter.sort()
     h_pairs: List[Tuple[int, int]] = []
     realizations: List[EdgeRealization] = []
-    inter = []
-    for gp_eid in gp.edge_ids:
-        u, v = gp.endpoints(gp_eid)
-        tu, tv = tri_index[u], tri_index[v]
-        kind, payload = provenance[gp_eid]
-        if tu == tv:
-            if kind == "string":
-                raise NotDecomposable(
-                    "a diamond string attaches twice to one triangle")
-            continue  # a triangle's own edge
-        inter.append((min(tu, tv), max(tu, tv), gp_eid, u, v))
-    inter.sort()
-    for tu, tv, gp_eid, u, v in inter:
-        kind, payload = provenance[gp_eid]
+    for tu, tv, is_string, payload, u, v in inter:
         corner_a, corner_b = (u, v) if tri_index[u] == tu else (v, u)
-        if kind == "plain":
-            real = EdgeRealization(corner_a, corner_b, plain_eid=payload)
-        else:
+        if is_string:
             s = strings[payload]
             if s.attach_left != corner_a:
                 s = s.reversed()
-            assert s.attach_left == corner_a and s.attach_right == corner_b
             real = EdgeRealization(corner_a, corner_b, string=s)
+        else:
+            real = EdgeRealization(corner_a, corner_b, plain_eid=payload)
         h_eid = len(h_pairs)
         h_pairs.append((tu, tv))
         realizations.append(real)
@@ -492,23 +475,23 @@ def _component_shape(g: MultiGraph, verts: List[VertexId],
     """The kind of one component of g minus its bridges, its diamond, and
     its vertices of degree 2 in the component, in order.
 
-    A simple graph on three vertices with three edges is K3, and one on four
-    vertices with five edges is K4 minus an edge: a diamond whose internal
-    pair is the two vertices of degree 3.
+    g is simple, as `require_clawfree_cubic` checks.  So a component on
+    three vertices with three edges is K3, and one on four vertices with
+    five edges is K4 minus an edge: a diamond whose internal pair is the two
+    vertices of degree 3.
     """
     n, m = len(verts), len(emap)
     deg = Counter(v for eid in emap for v in g.endpoints(eid))
     degree2 = [v for v in verts if deg[v] == 2]
-    if len({frozenset(g.endpoints(eid)) for eid in emap}) == m:
-        if n == 3 and m == 3:
-            return K3_COMPONENT, None, degree2
-        if n == 4 and m == 5:
-            internal = tuple(v for v in verts if deg[v] == 3)
-            internal_edge = next(eid for eid in emap
-                                 if set(g.endpoints(eid)) == set(internal))
-            return DIAMOND_COMPONENT, Diamond(
-                internal=internal, external=tuple(degree2),
-                internal_edge=internal_edge, edges=frozenset(emap)), degree2
+    if n == 3 and m == 3:
+        return K3_COMPONENT, None, degree2
+    if n == 4 and m == 5:
+        internal = tuple(v for v in verts if deg[v] == 3)
+        internal_edge = next(eid for eid in emap
+                             if set(g.endpoints(eid)) == set(internal))
+        return DIAMOND_COMPONENT, Diamond(
+            internal=internal, external=tuple(degree2),
+            internal_edge=internal_edge, edges=frozenset(emap)), degree2
     degs = tuple(sorted(deg[v] for v in verts))
     if n >= 5 and degs[-1] == 3:
         return BIG_COMPONENT, None, degree2
@@ -520,9 +503,9 @@ def bridge_decompose(g: MultiGraph,
                      bridges: Optional[BridgeSet] = None) -> BridgeDecomposition:
     """Components of g minus its bridges, typed, with the rooted bridge tree.
 
-    g is a connected claw-free cubic graph, as `require_clawfree_cubic`
-    checks, and `bridges` its bridge set, which that gate returns (found
-    here when not given).  Every component is a K3, a diamond or a big
+    g is a connected simple claw-free cubic graph, as
+    `require_clawfree_cubic` checks, and `bridges` its bridge set, which
+    that gate returns (found here when not given).  Every component is a K3, a diamond or a big
     component (n >= 5, maximum degree 3); any other shape raises
     ClassificationFailed.  A component of g minus its bridges is
     2-edge-connected by definition, so that is not checked again.  The tree
@@ -579,10 +562,7 @@ def bridge_decompose(g: MultiGraph,
     for eid in sorted(bridges):
         u, v = g.endpoints(eid)
         a, b = part[u], part[v]
-        key = (min(a, b), max(a, b))
-        if key in tree_edges:
-            raise NotDecomposable("two bridges join the same component pair")
-        tree_edges[key] = eid
+        tree_edges[(min(a, b), max(a, b))] = eid
         adj[a].add(b)
         adj[b].add(a)
     tree = tuple(tuple(sorted(s)) for s in adj)

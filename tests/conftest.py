@@ -68,6 +68,27 @@ def random_connected_graph(rng: random.Random, max_n: int = 30):
     return build_graph(edges, vertices=range(n))
 
 
+def necklace(k):
+    """k digons in a cycle, each joined to the next by one edge."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i, 2 * i + 1
+        edges += [(a, b), (a, b), (b, (b + 1) % (2 * k))]
+    return build_graph(edges)
+
+
+# connected cubic multigraphs without a claw: only their parallel edges put
+# them outside the input class
+PARALLEL_EDGE_INPUTS = {
+    "theta": lambda: build_graph([(0, 1)] * 3),
+    "necklace-3": lambda: necklace(3),
+    "necklace-4": lambda: necklace(4),
+    "k4-minus-edge-with-digon": lambda: build_graph(
+        [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5), (4, 5),
+         (4, 5)]),
+}
+
+
 def whole_boundary(g, up_vertex=None):
     """The boundary of g read as a standalone big component: all of g, no
     bridges."""

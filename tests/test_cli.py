@@ -10,6 +10,8 @@ from packedge.formats import parse_coloring, write_edge_list, write_graph6
 from packedge.families import gen_petersen, gen_ring
 from packedge.graph import build_graph
 
+from conftest import PARALLEL_EDGE_INPUTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -108,7 +110,16 @@ def test_recognize_ring_positive(tmp_path, capsys):
     graph_file.write_text(write_edge_list(gen_ring(2)))
     code, out, _ = run(capsys, "recognize", str(graph_file))
     assert code == 0
-    assert "cubic: True" in out and "claw-free: True" in out
+    assert "cubic: True\nsimple: True\nclaw-free: True\n" in out
+
+
+@pytest.mark.parametrize("name", PARALLEL_EDGE_INPUTS)
+def test_recognize_parallel_edges_negative(tmp_path, capsys, name):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(write_edge_list(PARALLEL_EDGE_INPUTS[name]()))
+    code, out, _ = run(capsys, "recognize", str(graph_file))
+    assert code == 1
+    assert "cubic: True\nsimple: False\nclaw-free: True\n" in out
 
 
 def test_decompose_ring(tmp_path, capsys):
@@ -182,7 +193,9 @@ def two_prisms():
 @pytest.mark.parametrize("make,error", [
     (subdivided_k33_pair, "error: claw at"),
     (two_prisms, "error: input graph is not connected"),
-], ids=["clawed-bridged", "two-prisms"])
+] + [(make, "error: input graph has parallel edges")
+     for make in PARALLEL_EDGE_INPUTS.values()],
+    ids=["clawed-bridged", "two-prisms", *PARALLEL_EDGE_INPUTS])
 def test_decompose_rejects_input_outside_the_class(tmp_path, capsys, make,
                                                    error):
     graph_file = tmp_path / "g.json"

@@ -22,14 +22,14 @@ from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_ring, gen_substituted,
                                random_cubic_multigraph_2ec)
 from packedge.formats import write_coloring
-from packedge.graph import UnknownEdge, build_graph
+from packedge.graph import NotSimple, UnknownEdge, build_graph
 from packedge.matching import two_factor_containing
 from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
                                 build_tilde, oum_decompose)
 from packedge.verify import verify
 
-from conftest import (bushy_tree, diamond_path, random_connected_graph,
-                      whole_boundary)
+from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, diamond_path,
+                      random_connected_graph, whole_boundary)
 from reference import collect_diamond_strings, edge_distance
 
 # the package's `verify` attribute is the function, not the module
@@ -467,6 +467,9 @@ def test_color_graph_rejects_bad_inputs(petersen):
                             for b in range(a + 1, 4)])
     with pytest.raises(NotConnected):
         color_graph(two_k4)
+    for make in PARALLEL_EDGE_INPUTS.values():
+        with pytest.raises(NotSimple):
+            color_graph(make())
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -4,11 +4,11 @@ from itertools import combinations
 import pytest
 
 from packedge.families import gen_random_clawfree_cubic
-from packedge.graph import build_graph
+from packedge.graph import NotSimple, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
-                                is_two_edge_connected)
+                                is_two_edge_connected, require_clawfree_cubic)
 
-from conftest import random_connected_graph
+from conftest import PARALLEL_EDGE_INPUTS, random_connected_graph
 from reference import find_bridges_bruteforce
 
 
@@ -118,3 +118,11 @@ def test_bridge_endpoints_lie_on_triangles(seed):
         for v in g.endpoints(eid):
             nbrs = g.neighbors(v)
             assert any(g.has_edge(a, b) for a, b in combinations(nbrs, 2))
+
+
+@pytest.mark.parametrize("name", PARALLEL_EDGE_INPUTS)
+def test_gate_rejects_parallel_edges(name):
+    g = PARALLEL_EDGE_INPUTS[name]()
+    assert g.is_connected() and is_cubic(g) and find_claw(g) is None
+    with pytest.raises(NotSimple, match="parallel edges"):
+        require_clawfree_cubic(g)

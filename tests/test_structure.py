@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import packedge.recognize as recognize
-from conftest import bushy_tree, diamond_path, whole_boundary
+from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, diamond_path,
+                      whole_boundary)
 from reference import (build_tilde_reference, check_h, connected_components,
                        induced_subgraph, reconstruct)
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
@@ -211,8 +212,9 @@ def test_structure_matches_references_on_seeded_trees(kind, size):
 
 # -- diamonds ----------------------------------------------------------------
 
-@pytest.mark.parametrize("extra", [(2, 3), (0, 2), (0, 1)],
-                         ids=["double-internal", "double-external", "k4"])
+# find_diamonds expects a simple graph of maximum degree 3; of the diamond
+# quads with a sixth edge, only K4 is such a graph
+@pytest.mark.parametrize("extra", [(0, 1)], ids=["k4"])
 def test_find_diamonds_needs_one_edge_per_pair(extra):
     g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), extra])
     assert find_diamonds(g) == find_diamonds_reference(g) == []
@@ -469,6 +471,32 @@ def test_oum_decompose_rejects_two_disjoint_rings():
     g = build_graph(list(ring) + [(u + 12, v + 12) for u, v in ring])
     with pytest.raises(NotDecomposable):
         oum_decompose(g)
+
+
+def test_oum_decompose_rejects_string_back_to_its_triangle(leaf7_pair):
+    # each leaf's diamond leaves its triangle {v, u, w} at u and returns at w
+    with pytest.raises(NotDecomposable, match="attaches twice"):
+        oum_decompose(leaf7_pair)
+
+
+def test_oum_decompose_rejects_theta():
+    with pytest.raises(NotDecomposable, match="lies in 0 triangles"):
+        oum_decompose(PARALLEL_EDGE_INPUTS["theta"]())
+
+
+def test_substituted_decomposition_builds_only_h(monkeypatch, k4):
+    import packedge.structure as structure
+    g = gen_substituted(SubstitutionPlan(k4, {0: 2, 3: 1}))
+    built = []
+    real = structure.build_graph
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(structure, "build_graph", counted)
+    dec = oum_decompose(g)
+    assert dec.variant == SUBSTITUTED
+    assert len(built) == 1 and built[0] is dec.h
 
 
 def test_two_thousand_diamond_path():
