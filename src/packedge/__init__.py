@@ -19,8 +19,7 @@ from .recognize import (ClawWitness, find_bridges, find_claw, is_cubic,
                         is_two_edge_connected)
 from .structure import (BridgeDecomposition, ComponentBoundary, Diamond,
                         DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, component_boundary, find_diamonds,
-                        oum_decompose)
+                        component_boundary, find_diamonds, oum_decompose)
 from .verify import PackingSpec, Violation, verify
 
 __version__ = "0.1.0"

@@ -9,21 +9,23 @@ The construction works case by case over the structure decomposition:
   3a on one connector, strings inherit a scheme from the color their H-edge
   would have carried, and everything left (triangle chords and matching
   edges) is the third matching color;
-* graphs with bridges are cut into components along the bridge tree;  big
-  components are completed into 2-edge-connected claw-free cubic graphs,
-  colored, and for odd boundaries patched locally around the dropped
-  triangle (the new 3a goes on whichever of the two candidate edges is
-  farther from the existing 3a edges);  the tree is then assembled root-down
-  in the input's edge ids, each bridge taking the color missing at its
-  parent endpoint and each child permuting its three matching colors to
+* graphs with bridges are cut into components along the bridge tree;  a
+  big component is decomposed with its cubic completion applied in H (see
+  `oum_decompose`), colored, and for odd boundaries patched locally around
+  the dropped triangle (the new 3a goes on whichever of the two candidate
+  edges is farther from the existing 3a edges);  the tree is then assembled
+  root-down in the input's edge ids, each bridge taking the color missing at
+  its parent endpoint and each child permuting its three matching colors to
   agree.
 
 Every free choice has one deterministic answer.  Each lifted cycle is
 colored from one start connector, its smallest by canonical key, which
 takes 1a on an even cycle and the single 3a on an odd one; the cycle
-alternates from there.  An anchor edge moves only its own cycle's start: to
-the anchor on an even cycle, to the smallest connector an odd number of
-steps before it on an odd one.  A string standing in for the 3a connector
+alternates from there.  On an odd component's completion the added edge
+s1b1 moves only its own cycle's start: to s1b1 on an even cycle, to the
+smallest connector an odd number of steps before it on an odd one.  A loop
+leaf, whose completion is K4 or a ring, takes a fixed relabeling of its
+3-edge-coloring that gives s1b1 1a.  A string standing in for the 3a connector
 takes the 3a at its entry end, and the odd-boundary patch follows the
 farther rule with ties on the w-b side.  Nothing is left to retry, so
 `color_graph` checks the finished coloring once with `verify`; a rejection
@@ -40,9 +42,9 @@ from .matching import two_factor_containing
 from .recognize import (BridgeSet, NotClawFree, NotConnected, NotCubic,
                         require_clawfree_cubic)  # the errors are re-exported
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
-                        RING_OF_DIAMONDS, ComponentBoundary, Diamond,
-                        DiamondString, OumDecomposition, bridge_decompose,
-                        build_tilde, is_k4, oum_decompose)
+                        RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
+                        Diamond, DiamondString, OumDecomposition,
+                        bridge_decompose, is_k4, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
@@ -61,10 +63,6 @@ class NotK4(GraphError):
 
 class BadContext(GraphError):
     """Unknown string-coloring context."""
-
-
-class AnchorOnTriangle(GraphError):
-    """Anchored coloring asked for an anchor edge lying on a triangle."""
 
 
 class ColoringFailed(GraphError):
@@ -96,11 +94,8 @@ def _swap_perm(a: str, b: str) -> Dict[str, str]:
 # base cases: K4 and diamonds
 # ---------------------------------------------------------------------------
 
-def color_k4(g: MultiGraph, anchor: Optional[EdgeId] = None) -> EdgeColoring:
-    """Proper 3-edge-coloring of K4: the three perfect matchings.
-
-    With `anchor` given, the anchor's matching gets color 1a.
-    """
+def color_k4(g: MultiGraph) -> EdgeColoring:
+    """Proper 3-edge-coloring of K4: the three perfect matchings."""
     if not is_k4(g):
         raise NotK4(f"not K4: n={g.n}, m={g.m}")
     opposite = {}
@@ -110,9 +105,6 @@ def color_k4(g: MultiGraph, anchor: Optional[EdgeId] = None) -> EdgeColoring:
                    if not set(g.endpoints(f)) & {u, v})
         opposite[eid] = opp
     classes = sorted({tuple(sorted((e, o))) for e, o in opposite.items()})
-    if anchor is not None:
-        g.endpoints(anchor)
-        classes.sort(key=lambda pair: (anchor not in pair, pair))
     out: EdgeColoring = {}
     for color, pair in zip(ONE_COLORS, classes):
         for eid in pair:
@@ -302,37 +294,6 @@ def color_string(g: MultiGraph, string: DiamondString,
 # 2-edge-connected graphs
 # ---------------------------------------------------------------------------
 
-def _assemble_substituted(g: MultiGraph, dec: OumDecomposition, tf,
-                          cycles: Sequence[ExpandedCycle],
-                          starts: Sequence[int]) -> EdgeColoring:
-    """The complete coloring for one start connector per cycle."""
-    coloring: EdgeColoring = {}
-    for cycle, start in zip(cycles, starts):
-        partial, string_colors = color_cycle(cycle, start)
-        coloring.update(partial)
-        for chord in cycle.chords:
-            coloring[chord] = COLOR_1C
-        for slot in cycle.slots:
-            if slot.string is None:
-                continue
-            c = string_colors[slot.h_eid]
-            if c == COLOR_1A:
-                ctx = TYPE_CYCLE_1A
-            elif c == COLOR_1B:
-                ctx = TYPE_CYCLE_1B
-            else:
-                ctx = TYPE_CYCLE_3A
-            coloring.update(color_string(g, slot.string, ctx))
-    for h_eid in tf.complement:
-        real = dec.realizations[h_eid]
-        if real.is_string:
-            coloring.update(color_string(g, real.string, TYPE_MATCHING))
-        else:
-            coloring[real.plain_eid] = COLOR_1C
-    assert len(coloring) == g.m, "assembled coloring is not total"
-    return coloring
-
-
 def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
                 ) -> List[ExpandedCycle]:
     return [_expand_cycle(g, dec, eids, verts)
@@ -357,57 +318,64 @@ def _start_slot(cycle: ExpandedCycle, required: Sequence[int]) -> int:
     return min(slots, key=lambda t: cycle.slots[t].canonical_key())
 
 
-def _anchor_h_edge(g: MultiGraph, dec: OumDecomposition,
-                   anchor: EdgeId) -> int:
-    u, v = g.endpoints(anchor)
-    if set(g.neighbors(u)) & set(g.neighbors(v)):
-        raise AnchorOnTriangle(f"anchor edge {anchor} lies on a triangle")
-    for h_eid, real in enumerate(dec.realizations):
+def _color_substituted(g: MultiGraph, dec: OumDecomposition,
+                       anchor: Optional[EdgeId] = None) -> EdgeColoring:
+    """Color a substituted decomposition from a 2-factor of H, forced
+    through the H-edge that realizes `anchor` when given.  Each lifted cycle
+    is colored from its `_start_slot`, so the anchor gets 1a and no edge
+    touching it gets 3a; its strings take their cycle color's context, and
+    the chords and the 2-factor's complement the third matching color."""
+    required = ()
+    if anchor is not None:
+        required = (next(
+            h_eid for h_eid, real in enumerate(dec.realizations)
+            if (anchor in real.string.region_edges() if real.is_string
+                else real.plain_eid == anchor)),)
+    tf = two_factor_containing(dec.h, required)
+    coloring: EdgeColoring = {}
+    for cycle in _expand_all(g, dec, tf):
+        partial, string_colors = color_cycle(cycle,
+                                             _start_slot(cycle, required))
+        coloring.update(partial)
+        for chord in cycle.chords:
+            coloring[chord] = COLOR_1C
+        for slot in cycle.slots:
+            if slot.string is None:
+                continue
+            c = string_colors[slot.h_eid]
+            if c == COLOR_1A:
+                ctx = TYPE_CYCLE_1A
+            elif c == COLOR_1B:
+                ctx = TYPE_CYCLE_1B
+            else:
+                ctx = TYPE_CYCLE_3A
+            coloring.update(color_string(g, slot.string, ctx))
+    for h_eid in tf.complement:
+        real = dec.realizations[h_eid]
         if real.is_string:
-            if anchor in real.string.region_edges():
-                return h_eid
-        elif real.plain_eid == anchor:
-            return h_eid
-    raise AnchorOnTriangle(
-        f"anchor {anchor} lies inside a triangle or diamond")
+            coloring.update(color_string(g, real.string, TYPE_MATCHING))
+        else:
+            coloring[real.plain_eid] = COLOR_1C
+    return coloring
 
 
-def color_2ec(g: MultiGraph, anchor: Optional[EdgeId] = None
-              ) -> EdgeColoring:
+def color_2ec(g: MultiGraph) -> EdgeColoring:
     """Packing edge-coloring of a 2-edge-connected claw-free cubic graph.
 
     That precondition is checked by `require_clawfree_cubic` in
-    `color_graph` (and argued for a tilde in `build_tilde`), not here.
+    `color_graph`, not here.
 
     K4 and rings of diamonds get proper 3-edge-colorings; otherwise every
     lifted cycle of a 2-factor of H is colored from its start connector
     (1a on an even cycle, the 3a on an odd one; see `_start_slot`).
-
-    With `anchor`, the anchor edge gets 1a and no edge touching it gets 3a.
-    It must lie on no triangle, except in K4 and rings, whose 3-colorings
-    are relabeled.  The anchor changes two things only: the 2-factor is
-    forced through its H-edge, and its cycle's start moves.
     """
-    if anchor is not None:
-        u, v = g.endpoints(anchor)
     dec = oum_decompose(g)
     if dec.variant == IS_K4:
-        return color_k4(g, anchor=anchor)
+        return color_k4(g)
     if dec.variant == RING_OF_DIAMONDS:
-        col = _diamonds_coloring(g, dec.diamonds, g.edge_ids)
-        if anchor is not None and col[anchor] != COLOR_1A:
-            col = apply_permutation(col, _swap_perm(col[anchor], COLOR_1A))
-        return col
-    required = () if anchor is None else (_anchor_h_edge(g, dec, anchor),)
-    tf = two_factor_containing(dec.h, required)
-    cycles = _expand_all(g, dec, tf)
-    col = _assemble_substituted(g, dec, tf, cycles,
-                                [_start_slot(c, required) for c in cycles])
-    if anchor is not None:
-        assert col[anchor] == COLOR_1A, "anchor edge is not 1a"
-        assert all(col[e] != COLOR_3A
-                   for e in g.incident_edges(u) + g.incident_edges(v)), \
-            "a 3a edge touches the anchor"
+        return _diamonds_coloring(g, dec.diamonds, g.edge_ids)
+    col = _color_substituted(g, dec)
+    assert len(col) == g.m, "assembled coloring is not total"
     return col
 
 
@@ -440,41 +408,61 @@ def _wb_at_least_as_far(g: MultiGraph, bridges: BridgeSet, e_wb: EdgeId,
     return dist.get(e_wb, INFINITE) >= dist.get(e_su, INFINITE)
 
 
+# a loop leaf's 3-edge-coloring relabeled so that s1b1 gets 1a: in a ring
+# it is a connector; in K4 it shares a matching with the internal edge
+_RING_LEAF = _swap_perm(COLOR_1C, COLOR_1A)
+_K4_LEAF = {COLOR_1A: COLOR_1B, COLOR_1B: COLOR_1C, COLOR_1C: COLOR_1A}
+
+
+def _color_completion(g: MultiGraph, dec: OumDecomposition,
+                      edge_ids: Sequence[EdgeId],
+                      anchor: Optional[EdgeId]) -> EdgeColoring:
+    """Color a big component's completion, decomposed by `oum_decompose`,
+    with `anchor` (s1b1, id g.m, on an odd boundary) 1a and no 3a touching
+    it.  A loop leaf's diamonds, a K4 or a ring, take the fixed relabeling
+    above; its other edges, those at the dropped triangle, are left to the
+    patch."""
+    if dec.variant == SUBSTITUTED:
+        return _color_substituted(g, dec, anchor)
+    return apply_permutation(
+        _diamonds_coloring(g, dec.diamonds, [anchor, *edge_ids]),
+        _RING_LEAF if dec.variant == RING_OF_DIAMONDS else _K4_LEAF)
+
+
 def color_component(g: MultiGraph, bridges: BridgeSet,
-                    edge_ids: Sequence[EdgeId],
+                    vertices: Sequence[VertexId], edge_ids: Sequence[EdgeId],
                     boundary: ComponentBoundary) -> EdgeColoring:
-    """Color one big component of g, its edges `edge_ids`, in g's edge ids
-    so all its boundary edges stay 1-colored.
+    """Color one big component of g, its sorted `vertices` and its edges
+    `edge_ids`, in g's edge ids so all its boundary edges stay 1-colored.
 
-    Even boundary: color the cubic completion and forget the added edges.
-    Odd: color the completion anchored at the added s1-b1 edge, then patch
-    the dropped triangle locally; 3a goes to whichever of w1b1 / s1u1 is
-    farther from the 3a edges already present.
+    `oum_decompose` completes the component in H, where it argues that the
+    completion is a 2-edge-connected claw-free cubic graph; that coloring,
+    less the added edges (ids from g.m up), is the component's.  Odd
+    boundary: s1b1 is the anchor, and the dropped triangle is patched
+    locally; 3a goes to whichever of w1b1 / s1u1 is farther from the 3a
+    edges already present.
     """
-    tc = build_tilde(g, edge_ids, boundary)
-    if tc.parity == "even":
-        comp = tc.to_component(color_2ec(tc.tilde))
-        assert len(comp) == len(edge_ids)
-        return comp
-
-    v1, u1, w1 = boundary.degree2[0], boundary.u[0], boundary.w[0]
-    s1, b1 = boundary.s[0], boundary.b[0]
-    e_su = g.edge_between(s1, u1)
-    e_uv = g.edge_between(u1, v1)
-    e_vw = g.edge_between(v1, w1)
-    e_uw = g.edge_between(u1, w1)
-    e_wb = g.edge_between(w1, b1)
-
-    out = tc.to_component(color_2ec(tc.tilde, tc.sb_eid))
-    threes = [eid for eid, c in out.items() if c == COLOR_3A]
-    # ties keep the 3a on the w-b side; only a strictly farther s-u side
-    # swaps the roles
-    if _wb_at_least_as_far(g, bridges, e_wb, e_su, threes):
-        out.update({e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
-                    e_uw: COLOR_1C, e_wb: COLOR_3A})
-    else:
-        out.update({e_wb: COLOR_1A, e_vw: COLOR_1B, e_uv: COLOR_1A,
-                    e_uw: COLOR_1C, e_su: COLOR_3A})
+    dec = oum_decompose(g, vertices, edge_ids, boundary)
+    odd = boundary.r % 2
+    out = {eid: c for eid, c in _color_completion(
+        g, dec, edge_ids, g.m if odd else None).items() if eid < g.m}
+    if odd:
+        v1, u1, w1 = boundary.degree2[0], boundary.u[0], boundary.w[0]
+        s1, b1 = boundary.s[0], boundary.b[0]
+        e_su = g.edge_between(s1, u1)
+        e_uv = g.edge_between(u1, v1)
+        e_vw = g.edge_between(v1, w1)
+        e_uw = g.edge_between(u1, w1)
+        e_wb = g.edge_between(w1, b1)
+        threes = [eid for eid, c in out.items() if c == COLOR_3A]
+        # ties keep the 3a on the w-b side; only a strictly farther s-u
+        # side swaps the roles
+        if _wb_at_least_as_far(g, bridges, e_wb, e_su, threes):
+            out.update({e_su: COLOR_1A, e_uv: COLOR_1B, e_vw: COLOR_1A,
+                        e_uw: COLOR_1C, e_wb: COLOR_3A})
+        else:
+            out.update({e_wb: COLOR_1A, e_vw: COLOR_1B, e_uv: COLOR_1A,
+                        e_uw: COLOR_1C, e_su: COLOR_3A})
     assert len(out) == len(edge_ids)
     return out
 
@@ -496,7 +484,7 @@ def _missing_color_at(g: MultiGraph, bridges: BridgeSet,
 def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
     """Color the bridge tree of g root-down (see `color_graph`), in g's
     edge ids: K3 edges take the three matching colors, a diamond its ring
-    scheme, and a big component is read from g through its tilde."""
+    scheme, and a big component is read from g with `color_component`."""
     bd = bridge_decompose(g, bridges)
     assert bd.kinds[bd.root] == BIG_COMPONENT, "root component must be big"
     final: EdgeColoring = {}
@@ -507,7 +495,8 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
         elif kind == DIAMOND_COMPONENT:
             col = _diamonds_coloring(g, [bd.diamonds[idx]], emap)
         else:
-            col = color_component(g, bd.bridges, emap, bd.boundaries[idx])
+            col = color_component(g, bd.bridges, bd.vertices[idx], emap,
+                                  bd.boundaries[idx])
         if up is not None:
             bridge_color = _missing_color_at(g, bd.bridges, final, up.q)
             final[up.bridge] = bridge_color

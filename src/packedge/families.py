@@ -154,12 +154,14 @@ def gen_substituted(plan: SubstitutionPlan) -> MultiGraph:
 def gen_big_component(chain_lengths: Tuple[int, ...]) -> MultiGraph:
     """Cycle of r boundary triangles separated by diamond chains.
 
-    ``chain_lengths[i] >= 1`` is the number of diamonds between triangle i
-    and triangle i+1; the result has exactly r degree-2 vertices (one per
-    triangle) and r == 1 with one diamond is the 7-vertex leaf.
+    ``chain_lengths[i]`` is the number of diamonds between triangle i and
+    triangle i+1, 0 for a plain edge (not when r == 1, where it would double
+    an edge of the triangle); the result has exactly r degree-2 vertices
+    (one per triangle) and r == 1 with one diamond is the 7-vertex leaf.
     """
     r = len(chain_lengths)
-    if r < 1 or any(k < 1 for k in chain_lengths):
+    least = 1 if r == 1 else 0
+    if r < 1 or any(k < least for k in chain_lengths):
         raise BadCount(f"invalid chain lengths {chain_lengths}")
     edges: List[Tuple[VertexId, VertexId]] = []
     tri = []

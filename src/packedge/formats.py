@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from .graph import EdgeId, GraphError, MultiGraph, NotSimple, build_graph
+from .graph import (EdgeId, GraphError, MultiGraph, NotSimple, TooLarge,
+                    build_graph)
 
 GRAPH6_MAX_SHORT = 62
 GRAPH6_MAX_LONG = 258047
@@ -89,8 +90,8 @@ def write_graph6(g: MultiGraph) -> str:
         raise NotSimple("graph6 cannot express parallel edges")
     n = g.n
     if n > GRAPH6_MAX_LONG:
-        raise NotSimple(f"graph6 writer supports up to {GRAPH6_MAX_LONG} "
-                        f"vertices, got {n}")
+        raise TooLarge(f"graph6 writer supports up to {GRAPH6_MAX_LONG} "
+                       f"vertices, got {n}")
     index = {v: i for i, v in enumerate(g.vertices)}
     present = {(min(index[u], index[v]), max(index[u], index[v]))
                for u, v in g.edge_list()}

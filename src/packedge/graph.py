@@ -34,7 +34,8 @@ class UnknownEdge(GraphError):
 
 
 class TooLarge(GraphError):
-    """An exhaustive search was asked for a graph above its size bound."""
+    """A graph above a size bound: of an exhaustive search, or of what a
+    file format can express."""
 
 
 class MultiGraph:

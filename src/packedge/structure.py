@@ -8,8 +8,9 @@ local shape straight from g: in a simple claw-free cubic graph, the number
 of edges among a vertex's three neighbours is 1 on exactly one triangle,
 2 inside a diamond, and 3 only in K4.  For inputs with bridges:
 the bridge tree, whose components are typed once, as they are cut, as K3s,
-diamonds or big components; boundary data for the degree-2 vertices of a
-big component; and its cubic completion ("tilde").
+diamonds or big components; and boundary data for the degree-2 vertices of
+a big component.  The first decomposition, read from a big component's part
+of g, also gives the component's cubic completion, as an edit of its H.
 
 Every structural fact the later coloring stages rely on is asserted here and
 surfaced as an error when violated, so a bad input fails loudly at the
@@ -19,11 +20,13 @@ decomposition stage rather than producing a wrong coloring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, build_graph
-from .recognize import BridgeSet, claw_at, find_bridges
+from .recognize import BridgeSet, find_bridges
 
 IS_K4 = "k4"
 RING_OF_DIAMONDS = "ring-of-diamonds"
@@ -86,18 +89,18 @@ class Diamond:
 
 
 def _links(g: MultiGraph, v: VertexId) -> List[Tuple[VertexId, VertexId]]:
-    """The adjacent pairs among v's neighbours, or [] unless v has exactly
+    """The adjacent pairs among v's neighbours, or [] if v has more than
     three distinct neighbours."""
     nbrs = g.neighbors(v)
-    if len(nbrs) != 3:
+    if len(nbrs) > 3:
         return []
-    a, b, c = nbrs
-    return [p for p in ((a, b), (a, c), (b, c)) if g.has_edge(*p)]
+    return [p for p in combinations(nbrs, 2) if g.has_edge(*p)]
 
 
-def find_diamonds(g: MultiGraph) -> List[Diamond]:
-    """All induced diamonds of a simple graph of maximum degree 3, by
-    internal pair.
+def find_diamonds(g: MultiGraph, vertices: Optional[Iterable[VertexId]] = None
+                  ) -> List[Diamond]:
+    """All induced diamonds of a simple graph of maximum degree 3 with their
+    internal pair in `vertices` (default: all of g), by internal pair.
 
     A vertex z with two links is internal: its partner w is the neighbour in
     both links, and the other two neighbours are the externals.  w then has
@@ -105,7 +108,7 @@ def find_diamonds(g: MultiGraph) -> List[Diamond]:
     of z and w.  The scan is linear in m.
     """
     out = []
-    for z in g.vertices:
+    for z in g.vertices if vertices is None else vertices:
         links = _links(g, z)
         if len(links) != 2:
             continue
@@ -124,13 +127,11 @@ def find_diamonds(g: MultiGraph) -> List[Diamond]:
 class DiamondString:
     """Maximal chain of diamonds, oriented from attach_left to attach_right.
 
-    ``exts[i]`` holds diamond i's externals as (left-facing, right-facing);
     ``connectors[i]`` joins diamonds i and i+1.  The attachment edges join
     the boundary vertices (which are not part of the string) to the first
     and last diamond.
     """
     diamonds: Tuple[Diamond, ...]
-    exts: Tuple[Tuple[VertexId, VertexId], ...]
     connectors: Tuple[EdgeId, ...]
     attach_left: VertexId
     attach_left_edge: EdgeId
@@ -159,7 +160,6 @@ class DiamondString:
     def reversed(self) -> "DiamondString":
         return DiamondString(
             diamonds=tuple(reversed(self.diamonds)),
-            exts=tuple((b, a) for a, b in reversed(self.exts)),
             connectors=tuple(reversed(self.connectors)),
             attach_left=self.attach_right,
             attach_left_edge=self.attach_right_edge,
@@ -255,13 +255,11 @@ def _orient_string(g, diamonds, links, chain) -> DiamondString:
             left, right = right, left
 
     ordered = [diamonds[i] for i in chain]
-    exts: List[Tuple[VertexId, VertexId]] = []
     connectors: List[EdgeId] = []
     facing = left[1]
     for pos, i in enumerate(chain):
         d = diamonds[i]
         other = next(x for x in d.external if x != facing)
-        exts.append((facing, other))
         if pos + 1 < len(chain):
             eid, u = _external_exit(g, d, other)
             connectors.append(eid)
@@ -271,8 +269,7 @@ def _orient_string(g, diamonds, links, chain) -> DiamondString:
                                       "diamond's external vertex")
             facing = u
     return DiamondString(
-        diamonds=tuple(ordered), exts=tuple(exts),
-        connectors=tuple(connectors),
+        diamonds=tuple(ordered), connectors=tuple(connectors),
         attach_left=left[2], attach_left_edge=left[0],
         attach_right=right[2], attach_right_edge=right[0])
 
@@ -318,7 +315,7 @@ class OumDecomposition:
     h: Optional[MultiGraph] = None
     triangles: Optional[Tuple[Triangle, ...]] = None
     realizations: Optional[Tuple[EdgeRealization, ...]] = None
-    diamonds: Optional[Tuple[Diamond, ...]] = None   # ring variant only
+    diamonds: Optional[Tuple[Diamond, ...]] = None   # rings, K4 completions
 
     def string_lengths(self) -> Tuple[int, ...]:
         if self.variant != SUBSTITUTED:
@@ -336,14 +333,14 @@ def is_k4(g: MultiGraph) -> bool:
                for i in range(4) for j in range(i + 1, 4))
 
 
-def _triangle_partition(g: MultiGraph, string_verts: Set[VertexId]
-                        ) -> List[Tuple[VertexId, ...]]:
-    """The vertices of g outside `string_verts`, partitioned into triangles
-    sorted by smallest vertex: each such vertex has one link, and its
-    triangle is the one that link closes."""
+def _triangle_partition(g: MultiGraph, vertices: Iterable[VertexId],
+                        skip: Set[VertexId]) -> List[Tuple[VertexId, ...]]:
+    """The `vertices` outside `skip`, partitioned into triangles sorted by
+    smallest vertex: each such vertex has one link, and its triangle is the
+    one that link closes."""
     tri_of: Dict[VertexId, Tuple[VertexId, ...]] = {}
-    for v in g.vertices:
-        if v in string_verts:
+    for v in vertices:
+        if v in skip:
             continue
         links = _links(g, v)
         if len(links) != 1:
@@ -357,63 +354,143 @@ def _triangle_partition(g: MultiGraph, string_verts: Set[VertexId]
     return sorted(set(tri_of.values()))
 
 
-def oum_decompose(g: MultiGraph) -> OumDecomposition:
-    """Decompose a 2-edge-connected simple claw-free cubic graph.
+def _leaving(strings: List[DiamondString], corner: VertexId
+             ) -> Optional[DiamondString]:
+    """The string attached at `corner`, oriented to leave it, or None."""
+    s = next((s for s in strings
+              if corner in (s.attach_left, s.attach_right)), None)
+    return s if s is None or s.attach_left == corner else s.reversed()
+
+
+def _joined(at_u: Optional[DiamondString], sb_eid: EdgeId,
+            at_w: Optional[DiamondString], s1: VertexId, b1: VertexId
+            ) -> DiamondString:
+    """The string through s1b1 made of the H-edges at u1 and w1, each a
+    string leaving its corner or None for a plain edge, not both None."""
+    if at_u is None:
+        return replace(at_w, attach_left=s1, attach_left_edge=sb_eid)
+    at_u = at_u.reversed()
+    if at_w is None:
+        return replace(at_u, attach_right=b1, attach_right_edge=sb_eid)
+    return replace(at_u, diamonds=at_u.diamonds + at_w.diamonds,
+                   connectors=at_u.connectors + (sb_eid,) + at_w.connectors,
+                   attach_right=at_w.attach_right,
+                   attach_right_edge=at_w.attach_right_edge)
+
+
+def oum_decompose(g: MultiGraph,
+                  vertices: Optional[Sequence[VertexId]] = None,
+                  edge_ids: Optional[Sequence[EdgeId]] = None,
+                  boundary: Optional[ComponentBoundary] = None
+                  ) -> OumDecomposition:
+    """Decompose a 2-edge-connected simple claw-free cubic graph g, or the
+    cubic completion of the big component of g with the sorted `vertices`,
+    the `edge_ids` and the `boundary` that `bridge_decompose` holds.
 
     K4 and rings of diamonds are reported as their own variants; anything
     else is expressed as a cubic multigraph H with every vertex substituted
     by a triangle and some H-edges realized as strings of diamonds.  The
     diamonds and the triangles are read from g: every vertex outside the
-    strings lies on exactly one triangle.  H's edges are g's plain edges
+    strings lies on exactly one triangle.  H's edges are the plain edges
     between two triangles, then one edge per string, ordered by (smaller
-    triangle, larger triangle, plain before string, edge id or string
-    index).
+    triangle, larger triangle, plain before string, edge id or the smallest
+    internal vertex of the string's two end diamonds).
 
-    The precondition is not checked here: `color_graph` checks g with
-    `require_clawfree_cubic`, and `build_tilde` argues it for a tilde.  Nor
-    is H re-checked.  It is cubic: the corner check gives each triangle one
-    H-edge per corner, and H has no loops.  It is bridgeless: a bridge of H
-    would make its plain edge, or each attachment edge of its string, a
-    bridge of g.  Input outside the precondition may raise NotDecomposable.
+    A component is completed in H, with no graph built.  Even boundary:
+    plain H-edges v1v2, v3v4, ....  Odd: v1's triangle is dropped and its
+    H-edges at u1 and w1 become one through s1b1, a plain edge, a string's
+    end attachment or the connector of two strings; one string at both
+    corners leaves a K4 (one diamond) or a ring.  Then v2v3, v4v5, ....
+    Added edges take ids g.m, g.m + 1, ...: s1b1 first, then the pairs.
+
+    The precondition is not checked here: `require_clawfree_cubic` checks g
+    and `component_boundary` the boundary.  Nor is H re-checked.  It is
+    cubic: the corner check gives each triangle one H-edge per corner.  It
+    has no loops: a string that attaches twice to one triangle raises
+    NotDecomposable, and an s1b1 that would be a loop raises
+    ClaimViolation("sb-triangle-free").  It is bridgeless: a bridge of the
+    component's H would make its plain edge, or each attachment edge of its
+    string, a bridge of the component; adding pairs makes no bridge, nor
+    does joining the H-edges at u1 and w1 (each a bridge if the joined edge
+    were).  An s1 or b1 off the H-edge at u1 or w1 raises NotDecomposable,
+    as may input outside the precondition.
     """
     if is_k4(g):
         return OumDecomposition(variant=IS_K4)
-    diamonds = find_diamonds(g)
+    if vertices is None:
+        vertices, edge_ids = g.vertices, g.edge_ids
+    diamonds = find_diamonds(g, vertices)
     strings = _strings_of(g, diamonds)
     if strings is None:
         return OumDecomposition(variant=RING_OF_DIAMONDS,
                                 ring_size=len(diamonds),
                                 diamonds=tuple(diamonds))
-    string_verts: Set[VertexId] = set()
+    skip: Set[VertexId] = set()
     for s in strings:
-        string_verts |= s.vertices
+        skip |= s.vertices
+    deg2 = boundary.degree2 if boundary else ()
+    odd = len(deg2) % 2
+    if odd:
+        u1, w1 = boundary.u[0], boundary.w[0]
+        s1, b1 = boundary.s[0], boundary.b[0]
+        skip |= {deg2[0], u1, w1}
 
-    tri_sets = _triangle_partition(g, string_verts)
+    tri_sets = _triangle_partition(g, vertices, skip)
     tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
     triangles = [Triangle(vertices=(a, b, c), edge_ids=(
         g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
         for a, b, c in tri_sets]
 
+    plain_sb = []       # (g.m, (s1, b1)) when s1b1 is a plain H-edge
+    if odd:
+        at_u, at_w = _leaving(strings, u1), _leaving(strings, w1)
+        for corner, ext, s in ((u1, s1, at_u), (w1, b1, at_w)):
+            if not (g.has_edge(corner, ext) and (
+                    ext in s.diamonds[0].external if s else ext in tri_index)):
+                raise NotDecomposable(
+                    f"the H-edge at {corner!r} does not reach {ext!r}")
+        if at_u is not None and at_u.attach_right == w1:
+            if at_u.k == 1:
+                return OumDecomposition(variant=IS_K4,
+                                        diamonds=tuple(diamonds))
+            return OumDecomposition(variant=RING_OF_DIAMONDS,
+                                    ring_size=at_u.k,
+                                    diamonds=tuple(diamonds))
+        if at_u is None and at_w is None:
+            ends = (s1, b1)
+            plain_sb.append((g.m, ends))
+        else:
+            strings = [s for s in strings
+                       if not {s.attach_left, s.attach_right} & {u1, w1}]
+            strings.append(_joined(at_u, g.m, at_w, s1, b1))
+            ends = (strings[-1].attach_left, strings[-1].attach_right)
+        if tri_index[ends[0]] == tri_index[ends[1]]:
+            raise ClaimViolation("sb-triangle-free", (s1, b1))
+
     # H's edges: (smaller triangle, larger triangle, is string, edge id or
-    # string index, one end, other end)
+    # end-diamond vertex, one end, other end, string)
+    edges = g.edge_list()
     inter = []
-    for eid, (u, v) in enumerate(g.edge_list()):
+    for eid, (u, v) in chain(
+            zip(edge_ids, map(edges.__getitem__, edge_ids)), plain_sb,
+            enumerate(zip(deg2[odd::2], deg2[odd + 1::2]), g.m + odd)):
         if u in tri_index and v in tri_index and tri_index[u] != tri_index[v]:
             tu, tv = sorted((tri_index[u], tri_index[v]))
-            inter.append((tu, tv, False, eid, u, v))
-    for si, s in enumerate(strings):
+            inter.append((tu, tv, False, eid, u, v, None))
+    for s in strings:
         tu, tv = sorted((tri_index[s.attach_left], tri_index[s.attach_right]))
         if tu == tv:
             raise NotDecomposable(
                 "a diamond string attaches twice to one triangle")
-        inter.append((tu, tv, True, si, s.attach_left, s.attach_right))
+        inter.append((tu, tv, True, min(s.diamonds[0].internal[0],
+                                        s.diamonds[-1].internal[0]),
+                      s.attach_left, s.attach_right, s))
     inter.sort()
     h_pairs: List[Tuple[int, int]] = []
     realizations: List[EdgeRealization] = []
-    for tu, tv, is_string, payload, u, v in inter:
+    for tu, tv, is_string, payload, u, v, s in inter:
         corner_a, corner_b = (u, v) if tri_index[u] == tu else (v, u)
         if is_string:
-            s = strings[payload]
             if s.attach_left != corner_a:
                 s = s.reversed()
             real = EdgeRealization(corner_a, corner_b, string=s)
@@ -430,8 +507,7 @@ def oum_decompose(g: MultiGraph) -> OumDecomposition:
         if sorted(tri.corner_for.values()) != sorted(tri.vertices):
             raise NotDecomposable(
                 f"triangle {tri.vertices} corners do not match its H-edges")
-    total_diamonds = sum(s.k for s in strings)
-    assert g.n == 3 * h.n + 4 * total_diamonds
+    assert len(vertices) == 3 * h.n + len(skip)
 
     return OumDecomposition(variant=SUBSTITUTED, h=h,
                             triangles=tuple(triangles),
@@ -613,7 +689,7 @@ def bridge_decompose(g: MultiGraph,
 
 
 # ---------------------------------------------------------------------------
-# component boundary and the tilde construction
+# component boundary
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -681,76 +757,3 @@ def component_boundary(g: MultiGraph, bridges: BridgeSet,
         bs.append(bj)
     return ComponentBoundary(degree2=tuple(deg2), u=tuple(us), w=tuple(ws),
                              s=tuple(ss), b=tuple(bs))
-
-
-@dataclass
-class TildeConstruction:
-    """Cubic completion of a big component of g: ``shared[i]`` is the g
-    edge id of tilde edge i, or None for an added edge."""
-    tilde: MultiGraph
-    parity: str                                   # "even" | "odd"
-    shared: Tuple[Optional[EdgeId], ...]
-    sb_eid: Optional[EdgeId] = None               # odd parity only
-
-    def to_component(self, tilde_coloring: Dict[EdgeId, str]
-                     ) -> Dict[EdgeId, str]:
-        """Restrict a tilde coloring to the component, keyed by g."""
-        return {eid: tilde_coloring[t_eid]
-                for t_eid, eid in enumerate(self.shared) if eid is not None}
-
-
-def build_tilde(g: MultiGraph, edge_ids: Iterable[EdgeId],
-                boundary: ComponentBoundary) -> TildeConstruction:
-    """Complete the big component of g with edges `edge_ids` into a
-    2-edge-connected claw-free cubic graph, its edges the kept `edge_ids`
-    in order, then s1b1, then the pairs.
-
-    Even boundary: pair up the degree-2 vertices (v1v2, v3v4, ...).  Odd:
-    drop the first boundary triangle {v1,u1,w1}, join s1 to b1, and pair the
-    remaining degree-2 vertices (v2v3, v4v5, ...).
-
-    The claims are checked only where the construction can break them.
-    Only the ends of added edges change degree, and only they and their
-    neighbours see a new edge nearby; every other vertex sees what it sees
-    in g, which `color_graph` has checked cubic and claw-free.  So
-    `tilde-cubic` is checked at those ends, `tilde-claw-free` also at their
-    neighbours.  2-edge-connectivity needs no check: the component, a
-    component of g minus its bridges, has it, and adding edges creates no
-    bridge.  Nor does replacing the path s1-u1-w1-b1 (with its ear at v1)
-    by the edge s1b1: were s1b1 a bridge of the tilde, s1u1 would be one of
-    the component, and any other bridge of the tilde is one of the
-    component, the path standing in for s1b1.
-    """
-    r = boundary.r
-    v = boundary.degree2
-    if r % 2 == 0:
-        kept = list(edge_ids)
-        added = []
-        sb_eid = None
-    else:
-        drop = {v[0], boundary.u[0], boundary.w[0]}
-        kept = [eid for eid in edge_ids if not (set(g.endpoints(eid)) & drop)]
-        s1, b1 = boundary.s[0], boundary.b[0]
-        if g.has_edge(s1, b1):
-            raise ClaimViolation("sb-non-edge", (s1, b1))
-        added = [(s1, b1)]
-        sb_eid = len(kept)
-    added += [(v[j], v[j + 1]) for j in range(r % 2, r - 1, 2)]
-    tilde = build_graph([g.endpoints(eid) for eid in kept] + added)
-
-    ends = sorted({x for pair in added for x in pair})
-    for x in ends:
-        if tilde.degree(x) != 3:
-            raise ClaimViolation("tilde-cubic", (x, tilde.degree(x)))
-    claw = claw_at(tilde, sorted(
-        set(ends).union(*(tilde.neighbors(x) for x in ends))))
-    if claw is not None:
-        raise ClaimViolation("tilde-claw-free", claw)
-    if sb_eid is not None:
-        s1, b1 = added[0]
-        on_triangle = bool(set(tilde.neighbors(s1)) & set(tilde.neighbors(b1)))
-        if on_triangle and not is_k4(tilde):
-            raise ClaimViolation("sb-triangle-free", (s1, b1))
-    return TildeConstruction(tilde=tilde, parity="odd" if r % 2 else "even",
-                             shared=tuple(kept) + (None,) * len(added),
-                             sb_eid=sb_eid)

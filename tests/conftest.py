@@ -1,4 +1,7 @@
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +10,7 @@ from packedge.families import (BridgedPlan, gen_bridged, gen_k4, gen_leaf7,
                                gen_leaf7_pair, gen_petersen, gen_ring,
                                gen_tietze)
 from packedge.graph import build_graph
-from packedge.structure import component_boundary
+from packedge.structure import component_boundary, oum_decompose
 
 
 @pytest.fixture(scope="session")
@@ -89,11 +92,28 @@ PARALLEL_EDGE_INPUTS = {
 }
 
 
+def perfbench_workloads():
+    """The `workloads` module of the repository's perfbench folder."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(perfbench))
+
+
 def whole_boundary(g, up_vertex=None):
     """The boundary of g read as a standalone big component: all of g, no
     bridges."""
     degree2 = [v for v in g.vertices if g.degree(v) == 2]
     return component_boundary(g, frozenset(), degree2, up_vertex)
+
+
+def decompose_whole(g, boundary=None):
+    """`oum_decompose` on all of g as a standalone big component, its
+    boundary read from g unless given."""
+    return oum_decompose(g, g.vertices, g.edge_ids,
+                         boundary or whole_boundary(g))
 
 
 def diamond_path(rng: random.Random, d: int):

@@ -6,31 +6,35 @@ import sys
 import pytest
 
 import packedge.coloring as coloring_mod
-from packedge.coloring import (AnchorOnTriangle, COLOR_1A, COLOR_1B,
-                               COLOR_1C, COLOR_3A, ColoringFailed,
-                               NotClawFree, NotConnected, NotCubic, NotK4,
-                               ONE_COLORS, apply_permutation, color_2ec,
-                               color_component, color_cycle, color_graph,
-                               color_k4, color_string, _expand_all,
-                               _virtual_colors, _wb_at_least_as_far,
+from packedge.coloring import (COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A,
+                               ColoringFailed, NotClawFree, NotConnected,
+                               NotCubic, NotK4, ONE_COLORS, apply_permutation,
+                               color_2ec, color_component, color_cycle,
+                               color_graph, color_k4, color_string,
+                               _color_completion, _color_substituted,
+                               _expand_all, _virtual_colors,
+                               _wb_at_least_as_far,
                                TYPE_MATCHING, TYPE_CYCLE_1A, TYPE_CYCLE_1B,
                                TYPE_CYCLE_3A, BadContext)
-from packedge.corpus import CorpusEntry, run_corpus
+from packedge.corpus import CorpusEntry, build_corpus, run_corpus
 from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_bridged, BridgedPlan, gen_leaf7,
                                gen_petersen, gen_random_clawfree_cubic,
                                gen_ring, gen_substituted,
                                random_cubic_multigraph_2ec)
 from packedge.formats import write_coloring
-from packedge.graph import NotSimple, UnknownEdge, build_graph
+from packedge.graph import NotSimple, build_graph
 from packedge.matching import two_factor_containing
-from packedge.structure import (BIG_COMPONENT, K3_COMPONENT, bridge_decompose,
-                                build_tilde, oum_decompose)
+from packedge.structure import (BIG_COMPONENT, IS_K4, K3_COMPONENT,
+                                RING_OF_DIAMONDS, bridge_decompose,
+                                oum_decompose)
 from packedge.verify import verify
 
-from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, diamond_path,
+from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, decompose_whole,
+                      diamond_path, perfbench_workloads,
                       random_connected_graph, whole_boundary)
-from reference import collect_diamond_strings, edge_distance
+from reference import (build_tilde_reference, collect_diamond_strings,
+                       edge_distance)
 
 # the package's `verify` attribute is the function, not the module
 verify_mod = importlib.import_module("packedge.verify")
@@ -55,11 +59,16 @@ def test_color_k4_three_perfect_matchings(k4):
     assert verify(k4, col) == []
 
 
-def test_color_k4_anchored(k4):
-    for anchor in k4.edge_ids:
-        col = color_k4(k4, anchor=anchor)
-        assert col[anchor] == COLOR_1A
-        assert verify(k4, col) == []
+def test_color_k4_anchored(leaf7):
+    # leaf7's completion is K4 anchored at s1b1 (id m): s1b1's matching
+    # takes 1a, the smaller external pair 1b and the other 1c
+    dec = decompose_whole(leaf7)
+    assert dec.variant == IS_K4
+    (d,) = dec.diamonds
+    col = _color_completion(leaf7, dec, leaf7.edge_ids, leaf7.m)
+    pair_b, pair_c = d.external_pairs(leaf7)
+    assert col[leaf7.m] == col[d.internal_edge] == COLOR_1A
+    assert [col[e] for e in pair_b + pair_c] == [COLOR_1B] * 2 + [COLOR_1C] * 2
 
 
 def test_color_k4_rejects_other(dipole):
@@ -218,31 +227,33 @@ def anchored_contract_holds(g, col, anchor):
     return all(col[e] != COLOR_3A for e in touching)
 
 
-def test_anchored_k4(k4):
-    for anchor in k4.edge_ids:
-        col = color_2ec(k4, anchor)
-        assert anchored_contract_holds(k4, col, anchor)
-        assert verify(k4, col) == []
+def completion_coloring_on_tilde(g, vertices, edge_ids, boundary, up_vertex):
+    """The anchored coloring of an odd component's completion, moved onto
+    the copy-built reference tilde, with the tilde and its s1b1 id."""
+    dec = oum_decompose(g, vertices, edge_ids, boundary)
+    col = _color_completion(g, dec, edge_ids, g.m)
+    tilde, shared = build_tilde_reference(g, vertices, edge_ids, up_vertex)
+    kept = shared.index(None)
+    return tilde, {t: col[eid if eid is not None else g.m + t - kept]
+                   for t, eid in enumerate(shared)}, kept
 
 
 def test_anchored_ring():
-    g = gen_ring(3)
-    connector = next(e for e in g.edge_ids
-                     if not _on_triangle(g, e))
-    col = color_2ec(g, connector)
-    assert anchored_contract_holds(g, col, connector)
-    assert verify(g, col) == []
-
-
-def _on_triangle(g, eid):
-    u, v = g.endpoints(eid)
-    return bool(set(g.neighbors(u)) & set(g.neighbors(v)))
+    # a triangle whose string of three diamonds leaves at u and returns at
+    # w: the completion is a ring, and s1b1 is the connector that gets 1a
+    g = gen_big_component((3,))
+    tilde, col, sb = completion_coloring_on_tilde(
+        g, g.vertices, g.edge_ids, whole_boundary(g), None)
+    assert decompose_whole(g).variant == RING_OF_DIAMONDS
+    assert anchored_contract_holds(tilde, col, sb)
+    assert COLOR_3A not in class_sizes(col)
+    assert verify(tilde, col) == []
 
 
 def test_anchored_leaf7_tilde(leaf7):
-    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
-    col = color_2ec(tc.tilde, tc.sb_eid)
-    assert anchored_contract_holds(tc.tilde, col, tc.sb_eid)
+    tilde, col, sb = completion_coloring_on_tilde(
+        leaf7, leaf7.vertices, leaf7.edge_ids, whole_boundary(leaf7), None)
+    assert anchored_contract_holds(tilde, col, sb)
     assert COLOR_3A not in class_sizes(col)
 
 
@@ -251,7 +262,7 @@ def test_anchored_even_cycle(k4):
     g = gen_substituted(SubstitutionPlan(k4))
     dec = oum_decompose(g)
     anchor = dec.realizations[0].plain_eid
-    col = color_2ec(g, anchor)
+    col = _color_substituted(g, dec, anchor)
     assert anchored_contract_holds(g, col, anchor)
     assert verify(g, col) == []
 
@@ -260,7 +271,7 @@ def test_anchored_odd_cycles():
     g = gen_substituted(SubstitutionPlan(gen_petersen()))
     dec = oum_decompose(g)
     anchor = dec.realizations[0].plain_eid
-    col = color_2ec(g, anchor)
+    col = _color_substituted(g, dec, anchor)
     assert anchored_contract_holds(g, col, anchor)
     assert verify(g, col) == []
 
@@ -275,36 +286,20 @@ def test_anchored_odd_boundary_components(seed):
         boundary = bd.boundaries[idx]
         if boundary.r % 2 == 0:
             continue
-        tc = build_tilde(g, bd.edge_maps[idx], boundary)
-        col = color_2ec(tc.tilde, tc.sb_eid)
-        assert anchored_contract_holds(tc.tilde, col, tc.sb_eid)
-        assert verify(tc.tilde, col) == []
-
-
-def test_anchor_must_be_an_edge(k4):
-    ring = gen_ring(3)
-    sub = gen_substituted(SubstitutionPlan(gen_petersen()))
-    for g, color in ((k4, lambda a: color_k4(k4, anchor=a)),
-                     (k4, lambda a: color_2ec(k4, a)),
-                     (ring, lambda a: color_2ec(ring, a)),
-                     (sub, lambda a: color_2ec(sub, a))):
-        for bad in (-1, g.m):
-            with pytest.raises(UnknownEdge):
-                color(bad)
-
-
-def test_anchored_rejects_triangle_edge(k4):
-    g = gen_substituted(SubstitutionPlan(k4))
-    tri_edge = next(e for e in g.edge_ids if _on_triangle(g, e))
-    with pytest.raises(AnchorOnTriangle):
-        color_2ec(g, tri_edge)
+        up = bd.up_edges[idx]
+        tilde, col, sb = completion_coloring_on_tilde(
+            g, bd.vertices[idx], bd.edge_maps[idx], boundary,
+            up.p if up else None)
+        assert anchored_contract_holds(tilde, col, sb)
+        assert verify(tilde, col) == []
 
 
 # -- components ----------------------------------------------------------
 
 def color_whole(g):
     """`color_component` on all of g as a standalone big component."""
-    return color_component(g, frozenset(), g.edge_ids, whole_boundary(g))
+    return color_component(g, frozenset(), g.vertices, g.edge_ids,
+                           whole_boundary(g))
 
 
 def test_color_component_leaf7_worked_instance(leaf7):
@@ -426,6 +421,26 @@ def test_bridged_colorings_pinned_at_ladder_scale():
     graphs.append(diamond_path(random.Random(3), 400))
     assert [hashlib.sha256(write_coloring(g, color_graph(g)).encode())
             .hexdigest() for g in graphs] == BRIDGED_COLORINGS_SHA256
+
+
+# sha256 of 1 216 coloring documents: `write_coloring(g, color_graph(g))`
+# over build_corpus() and build_corpus(range(1, 111)), then perfbench's
+# `color_op` over the `ladder` inputs of seeds 1, 2 and 3.  It has not moved
+# since big components were colored as views of g.
+CORPORA_AND_LADDER_COLORINGS_SHA256 = \
+    "664d8ffe027f993ec224c47335723a64b83335bcc66e5a23770c4d89c7a52d32"
+
+
+def test_corpora_and_ladder_colorings_pinned(corpus):
+    digest = hashlib.sha256()
+    for entry in corpus + build_corpus(range(1, 111)):
+        digest.update(
+            write_coloring(entry.graph, color_graph(entry.graph)).encode())
+    workloads = perfbench_workloads()
+    for seed in (1, 2, 3):
+        for inp in workloads.build_ladder_workload(seed):
+            digest.update(workloads.color_op(inp).encode())
+    assert digest.hexdigest() == CORPORA_AND_LADDER_COLORINGS_SHA256
 
 
 def test_color_graph_ring_dispatch():
@@ -577,7 +592,7 @@ def test_color_graph_verifies_once(monkeypatch, name):
 
 
 def test_boundary_rejection(monkeypatch, k4):
-    def broken_k4(g, anchor=None):
+    def broken_k4(g):
         return {eid: COLOR_1A for eid in g.edge_ids}
     monkeypatch.setattr(coloring_mod, "color_k4", broken_k4)
 

@@ -17,8 +17,8 @@ from packedge.families import (BadCount, BridgedPlan, InvalidPlan,
 from packedge.graph import are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
-from packedge.structure import build_tilde, is_k4, oum_decompose
-from conftest import whole_boundary
+from packedge.structure import IS_K4, oum_decompose
+from conftest import decompose_whole, whole_boundary
 from reference import labeled_cubic_multigraphs_reference
 
 
@@ -110,8 +110,8 @@ def test_tietze_stats(tietze):
 
 def test_leaf7(leaf7):
     assert leaf7.degree_sequence() == (2, 3, 3, 3, 3, 3, 3)
-    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
-    assert is_k4(tc.tilde)
+    # its completion is K4
+    assert decompose_whole(leaf7).variant == IS_K4
 
 
 def test_leaf7_pair(leaf7_pair):
@@ -121,11 +121,19 @@ def test_leaf7_pair(leaf7_pair):
 
 
 def test_big_component_boundary_sizes():
-    for chains in ((1,), (1, 1), (2, 1, 3), (1, 1, 1, 1)):
+    for chains in ((1,), (1, 1), (2, 1, 3), (1, 1, 1, 1), (0, 0), (0, 2, 0)):
         g = gen_big_component(chains)
         b = whole_boundary(g)
         assert b.r == len(chains)
+        assert g.n == 3 * len(chains) + 4 * sum(chains)
     assert are_isomorphic_small(gen_big_component((1,)), gen_leaf7())
+
+
+@pytest.mark.parametrize("chains", [(), (0,), (-1, 1)])
+def test_big_component_rejects_bad_chains(chains):
+    # (0,) would join a lone triangle to itself by a second u-w edge
+    with pytest.raises(BadCount):
+        gen_big_component(chains)
 
 
 def test_bridged_plan_degree_mismatch():

@@ -10,7 +10,8 @@ from packedge.formats import (DOT_STYLES, MalformedDocument,
                               parse_coloring, parse_edge_list, parse_graph6,
                               write_coloring, write_dot, write_edge_list,
                               write_graph6)
-from packedge.graph import are_isomorphic_small, build_graph
+from packedge.graph import (MultiGraph, TooLarge, are_isomorphic_small,
+                            build_graph)
 
 
 # -- graph6 -------------------------------------------------------------------
@@ -78,6 +79,12 @@ def test_graph6_long_order_encoding():
 def test_graph6_rejects_multigraph(dipole):
     with pytest.raises(NotSimple):
         write_graph6(dipole)
+
+
+def test_graph6_rejects_order_above_its_bound():
+    # a simple graph too large for graph6 is not a parallel-edge error
+    with pytest.raises(TooLarge, match="258047"):
+        write_graph6(MultiGraph([], vertices=range(258048)))
 
 
 # -- edge-list and coloring documents -----------------------------------------

@@ -1,13 +1,13 @@
-import importlib
+import hashlib
+import itertools
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
 import packedge.recognize as recognize
-from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, diamond_path,
-                      whole_boundary)
+from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, decompose_whole,
+                      diamond_path, perfbench_workloads, whole_boundary)
 from reference import (build_tilde_reference, check_h, connected_components,
                        induced_subgraph, reconstruct)
 from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
@@ -22,8 +22,7 @@ from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 ClaimViolation, ClassificationFailed,
                                 ComponentBoundary, Diamond, NoBridges,
                                 NotDecomposable, UpEdge, bridge_decompose,
-                                build_tilde, find_diamonds, is_k4,
-                                oum_decompose)
+                                find_diamonds, oum_decompose)
 
 
 def fingerprint(g):
@@ -165,18 +164,16 @@ def recorded_calls(monkeypatch, name):
     return calls
 
 
-def recorded_tildes(monkeypatch):
-    """Every tilde `color_component` builds from here on."""
-    import packedge.coloring as coloring
-    real = coloring.build_tilde
-    tildes = []
+def recorded_graphs(monkeypatch):
+    """Every `MultiGraph` built from here on."""
+    built = []
+    real = MultiGraph.__init__
 
-    def recorded(*args):
-        tc = real(*args)
-        tildes.append(tc.tilde)
-        return tc
-    monkeypatch.setattr(coloring, "build_tilde", recorded)
-    return tildes
+    def recorded(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(MultiGraph, "__init__", recorded)
+    return built
 
 
 def seeded_tree(kind, size):
@@ -260,9 +257,9 @@ def counting_find_diamonds(monkeypatch):
     calls = []
     real = structure.find_diamonds
 
-    def counted(g):
+    def counted(g, *vertices):
         calls.append(g)
-        return real(g)
+        return real(g, *vertices)
     monkeypatch.setattr(structure, "find_diamonds", counted)
     return calls
 
@@ -395,23 +392,24 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
     import packedge.coloring as coloring
     searched = recorded_calls(monkeypatch, "find_bridges")
     cubic = recorded_calls(monkeypatch, "is_cubic")
-    tildes = recorded_tildes(monkeypatch)
+    components = []
     hs = []
     real_oum = coloring.oum_decompose
 
-    def recorded_oum(h):
-        dec = real_oum(h)
+    def recorded_oum(g, *component):
+        dec = real_oum(g, *component)
         if dec.h is not None:
             hs.append(dec.h)
+        components.append(component)
         return dec
     monkeypatch.setattr(coloring, "oum_decompose", recorded_oum)
     for bridged in (True, False):
         g = gen_random_clawfree_cubic(701, bridged=bridged)
-        del searched[:], cubic[:], tildes[:], hs[:]
+        del searched[:], cubic[:], components[:], hs[:]
         coloring.color_graph(g)
-        # the input gate searches g once; no H and no tilde is searched or
-        # checked cubic again
-        assert hs and bool(tildes) == bridged
+        # the input gate searches g once; no H and no completion is searched
+        # or checked cubic again
+        assert hs and any(components) == bridged
         assert [id(x) for x in searched] == [id(g)]
         assert [id(x) for x in cubic] == [id(g)]
 
@@ -422,27 +420,21 @@ def test_component_shapes_come_from_bridge_decompose(monkeypatch):
     scans = counting_find_diamonds(monkeypatch)
     two_ec = recorded_calls(monkeypatch, "is_two_edge_connected")
     claws = recorded_calls(monkeypatch, "find_claw")
-    tildes = recorded_tildes(monkeypatch)
+    built = recorded_graphs(monkeypatch)
     coloring.color_graph(g)
-    # one scan per big component (both leaves), none per diamond; a K4
-    # tilde is recognised before any scan
-    assert len(tildes) == 2
-    assert scans == [t for t in tildes if not is_k4(t)]
-    assert 1 <= len(scans) <= 2
-    # the tildes' claims are checked locally: no whole-graph re-check
+    # one scan of g per big component (both leaves), none per diamond; each
+    # leaf's completion is a K4 or a ring, and no graph is built for it
+    assert scans == [g, g]
+    assert built == []
+    # no whole-graph re-check of a completion
     assert two_ec == []
     assert len(claws) == 1 and claws[0] is g
 
 
 def ladder_graphs(seed):
     """The graphs of perfbench's `ladder` workload for one seed."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(perfbench))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(perfbench))
-    return [inp.graph for inp in workloads.build_ladder_workload(seed)]
+    return [inp.graph
+            for inp in perfbench_workloads().build_ladder_workload(seed)]
 
 
 def test_every_h_is_cubic_and_bridgeless(corpus, monkeypatch):
@@ -450,8 +442,8 @@ def test_every_h_is_cubic_and_bridgeless(corpus, monkeypatch):
     real_oum = coloring.oum_decompose
     variants = []
 
-    def checked_oum(g):
-        dec = real_oum(g)
+    def checked_oum(g, *component):
+        dec = real_oum(g, *component)
         check_h(dec)
         variants.append(dec.variant)
         return dec
@@ -485,18 +477,22 @@ def test_oum_decompose_rejects_theta():
 
 
 def test_substituted_decomposition_builds_only_h(monkeypatch, k4):
-    import packedge.structure as structure
     g = gen_substituted(SubstitutionPlan(k4, {0: 2, 3: 1}))
-    built = []
-    real = structure.build_graph
-
-    def counted(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-    monkeypatch.setattr(structure, "build_graph", counted)
+    built = recorded_graphs(monkeypatch)
     dec = oum_decompose(g)
     assert dec.variant == SUBSTITUTED
-    assert len(built) == 1 and built[0] is dec.h
+    assert built == [dec.h]
+    # a big component's completion is decomposed in g: H is built, the
+    # completion is not
+    g = gen_bridged(BridgedPlan(parents=(0, 0, 0), recipes=(
+        ("big", (1, 0, 2)),) + (("big", (1,)),) * 3))
+    bd = bridge_decompose(g)
+    hub = next(i for i, b in enumerate(bd.boundaries) if b and b.r == 3)
+    del built[:]
+    dec = oum_decompose(g, bd.vertices[hub], bd.edge_maps[hub],
+                        bd.boundaries[hub])
+    assert dec.variant == SUBSTITUTED
+    assert built == [dec.h]
 
 
 def test_two_thousand_diamond_path():
@@ -623,13 +619,12 @@ def test_hub_boundary_is_linear(monkeypatch):
 
 
 # a mutated component, or a hand-built boundary on one, for every claim
-# `component_boundary` / `build_tilde` can raise; leaf7 is v=0, u=1, w=2,
+# `component_boundary` / `oum_decompose` can raise; leaf7 is v=0, u=1, w=2,
 # s=3, b=4 and the diamond internals 5, 6
 K33_MINUS_03 = [(a, b) for a in range(3) for b in range(3, 6)
                 if (a, b) != (0, 3)]
-PRISM_MINUS_34_WITH_EAR = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5),
-                           (4, 5), (6, 7), (7, 8), (6, 8), (3, 6), (4, 7),
-                           (5, 8)]
+TWO_TRIANGLES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5),
+                 (4, 5)]
 CLAIMS = {
     # u has degree 3
     "up-vertex-degree": lambda: whole_boundary(gen_leaf7(), up_vertex=1),
@@ -648,22 +643,9 @@ CLAIMS = {
     # s has degree 4
     "extension-degree": lambda: whole_boundary(build_graph(
         gen_leaf7().edge_list() + ((3, 4),))),
-    # s1, b1 given as the adjacent diamond internals
-    "sb-non-edge": lambda: build_tilde(
-        gen_leaf7(), range(10), ComponentBoundary((0,), (1,), (2,), (5,),
-                                                  (6,))),
-    # v is paired with s, which has degree 3 already
-    "tilde-cubic": lambda: build_tilde(
-        gen_leaf7(), range(10), ComponentBoundary((0, 3), (1, 5), (2, 6),
-                                                  (3, 5), (4, 6))),
-    # pairing the two degree-2 vertices gives back K3,3
-    "tilde-claw-free": lambda: build_tilde(
-        build_graph(K33_MINUS_03), range(8),
-        ComponentBoundary((0, 3), (4, 1), (5, 2), (1, 4), (2, 5))),
-    # the tilde is the prism, where s1b1 lies on a triangle
-    "sb-triangle-free": lambda: build_tilde(
-        build_graph(PRISM_MINUS_34_WITH_EAR), range(13),
-        whole_boundary(build_graph(PRISM_MINUS_34_WITH_EAR))),
+    # s1 = 3 and b1 = 4 lie on one triangle, so s1b1 would be an H-loop
+    "sb-triangle-free": lambda: decompose_whole(build_graph(
+        TWO_TRIANGLES), ComponentBoundary((0,), (1,), (2,), (3,), (4,))),
 }
 
 
@@ -674,35 +656,61 @@ def test_every_claim_raises_its_id(claim):
     assert err.value.claim == claim
 
 
+def test_oum_decompose_rejects_boundary_that_misses_g(leaf7):
+    # s1, b1 given as the diamond internals: the H-edges at u1 and w1 reach
+    # the externals 3 and 4 instead
+    with pytest.raises(NotDecomposable, match="does not reach"):
+        decompose_whole(leaf7, ComponentBoundary((0,), (1,), (2,), (5,),
+                                                 (6,)))
+
+
 def test_tilde_leaf7_is_k4(leaf7):
-    tc = build_tilde(leaf7, leaf7.edge_ids, whole_boundary(leaf7))
-    assert tc.parity == "odd"
-    assert is_k4(tc.tilde)
-    assert tc.sb_eid is not None
-    assert tc.tilde.endpoints(tc.sb_eid) in ((3, 4), (4, 3))
+    # the string at u1 returns at w1: the completion is the K4 on its diamond
+    dec = decompose_whole(leaf7)
+    assert dec.variant == IS_K4 and dec.h is None
+    (d,) = dec.diamonds
+    assert d.external == (3, 4)
 
 
 def test_tilde_even_adds_one_pair_edge():
     g = gen_big_component((1, 1))
     b = whole_boundary(g)
-    tc = build_tilde(g, g.edge_ids, b)
-    assert tc.parity == "even"
-    assert tc.tilde.n == g.n and tc.tilde.m == g.m + 1
-    assert is_cubic(tc.tilde)
-    pair = tc.tilde.endpoints(tc.tilde.m - 1)     # the one added edge
-    assert sorted(pair) == sorted(b.degree2[:2])
+    dec = decompose_whole(g)
+    # the one added edge, id m, is a plain H-edge joining the two boundary
+    # triangles at their degree-2 vertices
+    assert dec.h.n == 2 and is_cubic(dec.h)
+    (pair,) = [r for r in dec.realizations if not r.is_string]
+    assert pair.plain_eid == g.m
+    assert sorted((pair.corner_a, pair.corner_b)) == sorted(b.degree2)
 
 
 def test_tilde_odd_r3_drops_triangle():
     g = gen_big_component((1, 1, 1))
     b = whole_boundary(g)
-    tc = build_tilde(g, g.edge_ids, b)
-    assert tc.parity == "odd"
-    assert tc.tilde.n == g.n - 3
-    assert is_cubic(tc.tilde) and is_two_edge_connected(tc.tilde)
-    assert tc.shared.count(None) == 2              # s1b1 and one pair
-    s1b1 = tc.tilde.endpoints(tc.sb_eid)
-    assert sorted(s1b1) == sorted((b.s[0], b.b[0]))
+    dec = decompose_whole(g)
+    # v1's triangle is gone, s1b1 (id m) joins the strings at u1 and w1
+    # into one, and v2v3 (id m + 1) is a plain H-edge
+    assert dec.h.n == 2 and is_cubic(dec.h) and not find_bridges(dec.h)
+    assert all(b.degree2[0] not in t.vertices for t in dec.triangles)
+    (joined,) = [r.string for r in dec.realizations
+                 if r.is_string and g.m in r.string.connectors]
+    assert joined.k == 2
+    assert [r.plain_eid for r in dec.realizations if not r.is_string] == \
+        [g.m + 1]
+
+
+def hub(chains):
+    """A big hub with the given chains, each boundary vertex bridged to a
+    7-vertex leaf."""
+    return gen_bridged(BridgedPlan(parents=(0,) * len(chains), recipes=(
+        ("big", chains),) + (("big", (1,)),) * len(chains)))
+
+
+# hubs with chains in {0, 1, 2}^r for r = 3 and 5: their odd boundaries join
+# the H-edges at v1's triangle in every way (plain and plain, string and
+# plain, string and string)
+HUB_CHAINS = [c for r in (3, 5) for c in itertools.product((0, 1, 2),
+                                                           repeat=r)]
 
 
 def bridged_inputs():
@@ -712,24 +720,76 @@ def bridged_inputs():
         yield gen_random_clawfree_cubic(seed, bridged=True)
     yield bushy_tree(random.Random(1), 60)
     yield diamond_path(random.Random(3), 400)
+    yield from map(hub, HUB_CHAINS)
+
+
+def decomposition_summary(dec, eid):
+    """What two decompositions must share, edge ids mapped by `eid`."""
+    def diamond(d):
+        return (d.internal, d.external, eid(d.internal_edge),
+                frozenset(map(eid, d.edges)))
+    if dec.variant == IS_K4:
+        return (IS_K4,)
+    if dec.variant == RING_OF_DIAMONDS:
+        return dec.variant, dec.ring_size, tuple(map(diamond, dec.diamonds))
+    realizations = []
+    for r in dec.realizations:
+        s = r.string
+        realizations.append((r.corner_a, r.corner_b, s is None and eid(
+            r.plain_eid), s and (
+            tuple(map(diamond, s.diamonds)),
+            tuple(map(eid, s.connectors)), s.attach_left,
+            eid(s.attach_left_edge), s.attach_right,
+            eid(s.attach_right_edge))))
+    return (dec.variant, dec.h.vertices, dec.h.edge_list(),
+            [(t.vertices, tuple(map(eid, t.edge_ids)), t.corner_for)
+             for t in dec.triangles], realizations)
 
 
 def test_tilde_always_clawfree_cubic_2ec():
-    # the view-built tilde is the copy-built one, edge list for edge list,
-    # and the whole-tilde checks the view path skips all hold on it
-    tildes = 0
+    # a big component decomposed in g with its completion applied in H is
+    # the decomposition of the copy-built reference tilde (which asserts
+    # that the tilde is cubic, 2-edge-connected and claw-free), tilde ids
+    # mapped through `shared` and the added ids g.m, g.m + 1, ...
+    joins = []
     for g in bridged_inputs():
         bd = bridge_decompose(g)
         for i, kind in enumerate(bd.kinds):
             if kind != BIG_COMPONENT:
                 continue
             up = bd.up_edges[i]
-            p = up.p if up else None
-            tc = build_tilde(g, bd.edge_maps[i], bd.boundaries[i])
+            dec = oum_decompose(g, bd.vertices[i], bd.edge_maps[i],
+                                bd.boundaries[i])
             ref, shared = build_tilde_reference(
-                g, bd.vertices[i], bd.edge_maps[i], p)
-            assert tc.tilde.edge_list() == ref.edge_list()
-            assert tc.tilde.vertices == ref.vertices
-            assert tc.shared == shared
-            tildes += 1
-    assert tildes > 200
+                g, bd.vertices[i], bd.edge_maps[i], up.p if up else None)
+            first_added = shared.index(None) if None in shared else 0
+            assert decomposition_summary(dec, lambda e: e) == \
+                decomposition_summary(oum_decompose(ref), lambda t: (
+                    shared[t] if shared[t] is not None
+                    else g.m + t - first_added))
+            if bd.boundaries[i].r % 2 and dec.variant == SUBSTITUTED:
+                joins.append(next(
+                    "plain" if not r.is_string else
+                    "strings" if g.m in r.string.connectors else "mixed"
+                    for r in dec.realizations if r.plain_eid == g.m or
+                    r.is_string and g.m in r.string.region_edges()))
+    # 30, 120 and 148 of them here, the hubs making every plain join
+    assert all(joins.count(join) >= 30 for join in ("plain", "mixed",
+                                                     "strings"))
+
+
+# sha256 of `write_coloring(g, color_graph(g))` over the hubs, in
+# HUB_CHAINS order, as first computed when each odd completion was built
+# as a graph of its own
+HUB_COLORINGS_SHA256 = \
+    "5a51019844670b36af80c32e32eb57bd6c5a00e8d7d9066afda6ada1ec527024"
+
+
+def test_hub_colorings_pinned():
+    from packedge.coloring import color_graph
+    from packedge.formats import write_coloring
+    digest = hashlib.sha256()
+    for chains in HUB_CHAINS:
+        g = hub(chains)
+        digest.update(write_coloring(g, color_graph(g)).encode())
+    assert digest.hexdigest() == HUB_COLORINGS_SHA256
