@@ -1,12 +1,14 @@
 """Exhaustive feasibility solver for packing edge-colorings.
 
-Ground truth on small graphs: backtracking over edge-to-class assignments
-with a precomputed bounded distance table, a most-constrained-first static
-edge order, and complete symmetry breaking among classes that share the same
-packing value.  Infeasible is only reported after the search space is
-exhausted; running out of the node budget is a distinct outcome so callers
-can never mistake a timeout for a proof.  The search recurses once per edge,
-so graphs above `EDGE_BOUND` edges are refused with `TooLarge`.
+Ground truth on small graphs: backtracking over edge-to-class assignments,
+with conflict sets from one bounded BFS per edge, a most-constrained-first
+dynamic edge order (Brélaz's DSATUR rule: the uncolored edge with the fewest
+open classes, ties by edge id), and complete symmetry breaking among classes
+that share the same packing value.  Infeasible is only reported after the
+search space is exhausted; running out of the node budget is a distinct
+outcome so callers can never mistake a timeout for a proof.  The search is a
+loop over an explicit stack; graphs above `EDGE_BOUND` edges are refused
+with `TooLarge`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import EdgeId, MultiGraph, TooLarge, edge_distances_from
+from .graph import EdgeId, MultiGraph, TooLarge
 from .verify import DEFAULT_SPEC, PackingSpec, verify
 
 FEASIBLE = "feasible"
@@ -22,7 +24,8 @@ INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_BUDGET = 10 ** 8
-# well below Python's default recursion limit of 1000 frames
+# The search is exponential in the worst case, so an exhaustive answer is
+# only promised for small graphs; this bound says where "small" ends.
 EDGE_BOUND = 512
 
 
@@ -44,14 +47,27 @@ class OracleResult:
 def _conflict_sets(g: MultiGraph, spec: PackingSpec
                    ) -> List[List[Tuple[EdgeId, ...]]]:
     """conflicts[ci][e] = edges that cannot share class ci with e."""
-    cap = max(spec.s)
-    near = [edge_distances_from(g, e, cap=cap) for e in g.edge_ids]
-    out: List[List[Tuple[EdgeId, ...]]] = []
-    for s in spec.s:
-        per_edge = [tuple(f for f, d in near[e].items() if f != e and d <= s)
-                    for e in g.edge_ids]
-        out.append(per_edge)
-    return out
+    at = {v: [f for f, _ in g.incident(v)] for v in g.vertices}
+    adj = [[f for f in at[u] + at[v] if f != e]
+           for e, (u, v) in enumerate(g.edge_list())]
+    values = sorted(set(spec.s))
+    within: Dict[int, List[Tuple[EdgeId, ...]]] = {s: [] for s in values}
+    for e in g.edge_ids:
+        seen = {e}
+        reach: List[EdgeId] = []   # BFS order: nearer edges come first
+        frontier = [e]
+        for d in range(1, values[-1] + 1):
+            nxt = []
+            for cur in frontier:
+                for f in adj[cur]:
+                    if f not in seen:
+                        seen.add(f)
+                        nxt.append(f)
+            reach += nxt
+            frontier = nxt
+            if d in within:
+                within[d].append(tuple(reach))
+    return [within[s] for s in spec.s]
 
 
 def oracle_color(g: MultiGraph, spec: PackingSpec = DEFAULT_SPEC,
@@ -59,8 +75,9 @@ def oracle_color(g: MultiGraph, spec: PackingSpec = DEFAULT_SPEC,
                  symmetry_breaking: bool = True) -> OracleResult:
     """Search for a packing edge-coloring of g, exhaustively.
 
-    `symmetry_breaking` exists so tests can confirm that pruning equal-value
-    class permutations never changes the verdict.
+    `nodes` counts the classes tried, and the search stops once it passes
+    `budget`.  `symmetry_breaking` exists so tests can confirm that pruning
+    equal-value class permutations never changes the verdict.
     """
     m = g.m
     if m > EDGE_BOUND:
@@ -69,10 +86,6 @@ def oracle_color(g: MultiGraph, spec: PackingSpec = DEFAULT_SPEC,
         return OracleResult(FEASIBLE, {}, 0)
     k = spec.k
     conflicts = _conflict_sets(g, spec)
-
-    weight = [sum(len(conflicts[ci][e]) for ci in range(k))
-              for e in g.edge_ids]
-    order = sorted(g.edge_ids, key=lambda e: (-weight[e], e))
 
     # within a run of equal spec values, class ci only opens after ci-1
     group_prev = [-1] * k
@@ -83,43 +96,60 @@ def oracle_color(g: MultiGraph, spec: PackingSpec = DEFAULT_SPEC,
 
     color = [-1] * m
     used = [0] * k
+    # blocked[ci][f] = colored edges of class ci that conflict with f
+    blocked = [[0] * m for _ in range(k)]
+    # rank[f] = open(f)·m + f, plus `colored` once f has a class, so
+    # min(rank) % m is the uncolored edge with the fewest open classes
+    colored = (k + 1) * m
+    rank = [k * m + f for f in range(m)]
+    path: List[EdgeId] = []          # the colored edges, in search order
     nodes = 0
-    out_of_budget = False
 
-    def descend(depth: int) -> bool:
-        nonlocal nodes, out_of_budget
-        e = order[depth]
-        for ci in range(k):
+    e = min(rank) % m
+    ci = 0
+    while True:
+        while ci < k:
             gp = group_prev[ci]
             if gp >= 0 and used[gp] == 0:
-                break   # all later classes of this run are closed too
+                ci += 1     # closed until ci-1 is used; later runs stay open
+                continue
             nodes += 1
             if nodes > budget:
-                out_of_budget = True
-                return False
-            ok = True
+                return OracleResult(BUDGET_EXCEEDED, None, nodes)
+            if blocked[ci][e] == 0:
+                break
+            ci += 1
+        if ci < k:
+            color[e] = ci
+            used[ci] += 1
+            rank[e] += colored
+            b = blocked[ci]
             for f in conflicts[ci][e]:
-                if color[f] == ci:
-                    ok = False
-                    break
-            if ok:
-                color[e] = ci
-                used[ci] += 1
-                if depth + 1 == m or descend(depth + 1):
-                    return True
-                color[e] = -1
-                used[ci] -= 1
-                if out_of_budget:
-                    return False
-        return False
+                if b[f] == 0:
+                    rank[f] -= m
+                b[f] += 1
+            path.append(e)
+            if len(path) == m:
+                break
+            e = min(rank) % m
+            ci = 0
+            continue
+        if not path:
+            return OracleResult(INFEASIBLE, None, nodes)
+        e = path.pop()
+        ci = color[e]
+        color[e] = -1
+        used[ci] -= 1
+        rank[e] -= colored
+        b = blocked[ci]
+        for f in conflicts[ci][e]:
+            b[f] -= 1
+            if b[f] == 0:
+                rank[f] += m
+        ci += 1
 
-    found = descend(0)
-    if found:
-        labels = spec.labels()
-        assignment = {e: labels[color[e]] for e in g.edge_ids}
-        failures = verify(g, assignment, spec)
-        assert not failures, f"oracle produced an invalid coloring: {failures}"
-        return OracleResult(FEASIBLE, assignment, nodes)
-    if out_of_budget:
-        return OracleResult(BUDGET_EXCEEDED, None, nodes)
-    return OracleResult(INFEASIBLE, None, nodes)
+    labels = spec.labels()
+    assignment = {f: labels[color[f]] for f in g.edge_ids}
+    failures = verify(g, assignment, spec)
+    assert not failures, f"oracle produced an invalid coloring: {failures}"
+    return OracleResult(FEASIBLE, assignment, nodes)

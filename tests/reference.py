@@ -9,6 +9,7 @@ from packedge.graph import INFINITE, MultiGraph, edge_distances_from
 from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
 from packedge.structure import (IS_K4, RING_OF_DIAMONDS, _strings_of,
                                 component_boundary, find_diamonds)
+from packedge.oracle import BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE
 from packedge.verify import BadSpec, PartialColoring, Violation
 
 
@@ -185,6 +186,51 @@ def verify_reference(g, coloring, spec):
                     out.append(Violation(ci, (e, f), d, s + 1))
     out.sort(key=lambda v: (v.class_index, v.edges))
     return out
+
+
+def oracle_reference(g, spec, budget):
+    """The oracle's verdict by a static-order search: edges sorted by total
+    conflict count, heaviest first, each trying its classes in order, with
+    the same equal-value symmetry break.  Recursive once per edge and
+    without a verified coloring; returns FEASIBLE, INFEASIBLE or
+    BUDGET_EXCEEDED."""
+    k = spec.k
+    cap = max(spec.s)
+    near = [edge_distances_from(g, e, cap=cap) for e in g.edge_ids]
+    conflicts = [[tuple(f for f, d in near[e].items() if 0 < d <= s)
+                  for e in g.edge_ids] for s in spec.s]
+    order = sorted(g.edge_ids,
+                   key=lambda e: (-sum(len(c[e]) for c in conflicts), e))
+    color = [-1] * g.m
+    used = [0] * k
+    nodes = 0
+
+    def descend(depth):
+        nonlocal nodes
+        if depth == g.m:
+            return True
+        e = order[depth]
+        for ci in range(k):
+            if ci > 0 and spec.s[ci] == spec.s[ci - 1] and used[ci - 1] == 0:
+                continue   # closed until ci-1 is used; later runs stay open
+            nodes += 1
+            if nodes > budget:
+                return None
+            if any(color[f] == ci for f in conflicts[ci][e]):
+                continue
+            color[e] = ci
+            used[ci] += 1
+            found = descend(depth + 1)
+            color[e] = -1
+            used[ci] -= 1
+            if found is not False:
+                return found
+        return False
+
+    found = descend(0)
+    if found is None:
+        return BUDGET_EXCEEDED
+    return FEASIBLE if found else INFEASIBLE
 
 
 def labeled_cubic_multigraphs_reference(n):

@@ -109,7 +109,7 @@ def test_criterion_05_plesnik_exhaustive():
 
 
 def test_criterion_06_oracle_agreement_small(corpus):
-    small = [e.graph for e in corpus if e.graph.n <= 14]
+    small = [e.graph for e in corpus if e.graph.n <= 22]
     disagreements = 0
     for g in small:
         feasible = oracle_color(g, SPEC_1113).status == FEASIBLE
@@ -118,7 +118,7 @@ def test_criterion_06_oracle_agreement_small(corpus):
             disagreements += 1
     report(6, disagreements == 0,
            f"oracle and constructive colorer agree on {len(small)} "
-           f"claw-free corpus graphs <= 14 vertices")
+           f"claw-free corpus graphs <= 22 vertices")
 
 
 def test_criterion_07_decomposition_round_trip(corpus):
