@@ -7,9 +7,8 @@ distance at least four.  This package builds such colorings constructively
 exhaustive oracle for cross-checking on small graphs.
 """
 
-from .coloring import (ColoringFailed, apply_permutation, color_2ec,
-                       color_component, color_graph, color_k4, COLOR_1A,
-                       COLOR_1B, COLOR_1C, COLOR_3A)
+from .coloring import (ColoringFailed, apply_permutation, color_component,
+                       color_graph, COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A)
 from .graph import (EdgeId, GraphError, INFINITE, MultiGraph, VertexId,
                     are_isomorphic_small, build_graph)
 from .matching import TwoFactor, perfect_matching_avoiding, two_factor_containing

@@ -1,22 +1,26 @@
 """Constructive packing edge-coloring of connected claw-free cubic graphs.
 
-The construction works case by case over the structure decomposition:
+Every input takes one path: its bridge tree, a bridgeless graph being the
+tree of one big component, is colored root-down in the input's edge ids.
 
-* K4 and rings of diamonds get proper 3-edge-colorings (no 3a at all);
-* a 2-edge-connected graph is decomposed into triangles and diamond strings
-  over a cubic multigraph H, a 2-factor of H is lifted to cycles of the big
-  graph, even cycles alternate two matchings, each odd cycle spends a single
-  3a on one connector, strings inherit a scheme from the color their H-edge
-  would have carried, and everything left (triangle chords and matching
-  edges) is the third matching color;
-* graphs with bridges are cut into components along the bridge tree;  a
-  big component is decomposed with its cubic completion applied in H (see
-  `oum_decompose`), colored, and for odd boundaries patched locally around
-  the dropped triangle (the new 3a goes on whichever of the two candidate
-  edges is farther from the existing 3a edges);  the tree is then assembled
-  root-down in the input's edge ids, each bridge taking the color missing at
-  its parent endpoint and each child permuting its three matching colors to
-  agree.
+* `_diamonds_coloring` is the one 3-edge-coloring of diamonds: each
+  diamond's external pairs take two matching colors and its other edges
+  the third.  It colors K4 (one diamond plus the edge joining its
+  externals), rings of diamonds, loop leaves, diamond components and
+  diamond strings, each with its own (pair, pair, rest) colors, so none of
+  them uses 3a;
+* any other big component is decomposed into triangles and diamond
+  strings over a cubic multigraph H, with its cubic completion applied in
+  H (see `oum_decompose`); a 2-factor of H is lifted to cycles of g, even
+  cycles alternate two matchings, each odd cycle spends a single 3a on one
+  connector, strings take their colors from the color their H-edge would
+  have carried, and everything left (triangle chords and matching edges)
+  is the third matching color;
+* an odd boundary is patched locally around the dropped triangle (the new
+  3a goes on whichever of the two candidate edges is farther from the
+  existing 3a edges); K3s take the three matching colors, and each bridge
+  takes the color missing at its parent endpoint while each child permutes
+  its three matching colors to agree.
 
 Every free choice has one deterministic answer.  Each lifted cycle is
 colored from one start connector, its smallest by canonical key, which
@@ -24,10 +28,10 @@ takes 1a on an even cycle and the single 3a on an odd one; the cycle
 alternates from there.  On an odd component's completion the added edge
 s1b1 moves only its own cycle's start: to s1b1 on an even cycle, to the
 smallest connector an odd number of steps before it on an odd one.  A loop
-leaf, whose completion is K4 or a ring, takes a fixed relabeling of its
-3-edge-coloring that gives s1b1 1a.  A string standing in for the 3a connector
-takes the 3a at its entry end, and the odd-boundary patch follows the
-farther rule with ties on the w-b side.  Nothing is left to retry, so
+leaf, whose completion is K4 or a ring, takes fixed colors that give s1b1
+1a.  A string standing in for the 3a connector takes the 3a at its entry
+end, and the odd-boundary patch follows the farther rule with ties on the
+w-b side.  Nothing is left to retry, so
 `color_graph` checks the finished coloring once with `verify`; a rejection
 is an internal bug and raises `ColoringFailed` with the violations.
 """
@@ -41,10 +45,10 @@ from .graph import INFINITE, EdgeId, GraphError, MultiGraph, VertexId
 from .matching import two_factor_containing
 from .recognize import (BridgeSet, NotClawFree, NotConnected, NotCubic,
                         require_clawfree_cubic)  # the errors are re-exported
-from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4, K3_COMPONENT,
+from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, K3_COMPONENT,
                         RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
                         Diamond, DiamondString, OumDecomposition,
-                        bridge_decompose, is_k4, oum_decompose)
+                        bridge_decompose, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
 COLOR_1A = "1a"
@@ -55,10 +59,6 @@ ONE_COLORS = (COLOR_1A, COLOR_1B, COLOR_1C)
 ALL_COLORS = ONE_COLORS + (COLOR_3A,)
 
 EdgeColoring = Dict[EdgeId, str]
-
-
-class NotK4(GraphError):
-    pass
 
 
 class BadContext(GraphError):
@@ -91,37 +91,25 @@ def _swap_perm(a: str, b: str) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# base cases: K4 and diamonds
+# diamonds: K4, rings, loop leaves, strings and diamond components
 # ---------------------------------------------------------------------------
 
-def color_k4(g: MultiGraph) -> EdgeColoring:
-    """Proper 3-edge-coloring of K4: the three perfect matchings."""
-    if not is_k4(g):
-        raise NotK4(f"not K4: n={g.n}, m={g.m}")
-    opposite = {}
-    for eid in g.edge_ids:
-        u, v = g.endpoints(eid)
-        opp = next(f for f in g.edge_ids
-                   if not set(g.endpoints(f)) & {u, v})
-        opposite[eid] = opp
-    classes = sorted({tuple(sorted((e, o))) for e, o in opposite.items()})
-    out: EdgeColoring = {}
-    for color, pair in zip(ONE_COLORS, classes):
-        for eid in pair:
-            out[eid] = color
-    return out
-
-
 def _diamonds_coloring(g: MultiGraph, diamonds: Sequence[Diamond],
-                       edges: Sequence[EdgeId]) -> EdgeColoring:
-    """External pairs of every diamond 1a/1b, every other one of `edges` 1c."""
-    out: EdgeColoring = {eid: COLOR_1C for eid in edges}
+                       edges: Sequence[EdgeId],
+                       colors: Tuple[str, str, str] = ONE_COLORS
+                       ) -> EdgeColoring:
+    """External pairs of every diamond colors[0]/colors[1], every other one
+    of `edges` colors[2].  On K4, a ring or a diamond string this is a
+    proper 3-edge-coloring: each diamond's internal edge and both edges at
+    its externals take colors[2]."""
+    pair_color_a, pair_color_b, rest = colors
+    out: EdgeColoring = {eid: rest for eid in edges}
     for d in diamonds:
         pair_a, pair_b = d.external_pairs(g)
         for eid in pair_a:
-            out[eid] = COLOR_1A
+            out[eid] = pair_color_a
         for eid in pair_b:
-            out[eid] = COLOR_1B
+            out[eid] = pair_color_b
     return out
 
 
@@ -251,6 +239,15 @@ TYPE_CYCLE_1B = "type2.2"
 TYPE_CYCLE_3A = "type2.3"
 
 
+# (external pair, external pair, rest) per string context
+_STRING_COLORS = {
+    TYPE_MATCHING: (COLOR_1A, COLOR_1B, COLOR_1C),
+    TYPE_CYCLE_1A: (COLOR_1B, COLOR_1C, COLOR_1A),
+    TYPE_CYCLE_1B: (COLOR_1A, COLOR_1C, COLOR_1B),
+    TYPE_CYCLE_3A: (COLOR_1C, COLOR_1A, COLOR_1B),
+}
+
+
 def color_string(g: MultiGraph, string: DiamondString,
                  context: str) -> EdgeColoring:
     """Color every edge of a diamond string region by its context.
@@ -262,36 +259,17 @@ def color_string(g: MultiGraph, string: DiamondString,
     external pairs get 1c/1a and the rest 1b, so the alternation at both
     boundary triangles stays proper.
     """
-    if context == TYPE_MATCHING:
-        pair_colors, rest = (COLOR_1A, COLOR_1B), COLOR_1C
-    elif context == TYPE_CYCLE_1A:
-        pair_colors, rest = (COLOR_1B, COLOR_1C), COLOR_1A
-    elif context == TYPE_CYCLE_1B:
-        pair_colors, rest = (COLOR_1A, COLOR_1C), COLOR_1B
-    elif context == TYPE_CYCLE_3A:
-        pair_colors, rest = (COLOR_1C, COLOR_1A), COLOR_1B
-    else:
+    if context not in _STRING_COLORS:
         raise BadContext(f"unknown string context {context!r}")
-
-    out: EdgeColoring = {}
-    for eid in string.connectors:
-        out[eid] = rest
-    out[string.attach_left_edge] = rest
-    out[string.attach_right_edge] = rest
-    for d in string.diamonds:
-        out[d.internal_edge] = rest
-        pair_a, pair_b = d.external_pairs(g)
-        for eid in pair_a:
-            out[eid] = pair_colors[0]
-        for eid in pair_b:
-            out[eid] = pair_colors[1]
+    out = _diamonds_coloring(g, string.diamonds, string.region_edges(),
+                             _STRING_COLORS[context])
     if context == TYPE_CYCLE_3A:
         out[string.attach_left_edge] = COLOR_3A
     return out
 
 
 # ---------------------------------------------------------------------------
-# 2-edge-connected graphs
+# substituted decompositions
 # ---------------------------------------------------------------------------
 
 def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
@@ -359,26 +337,6 @@ def _color_substituted(g: MultiGraph, dec: OumDecomposition,
     return coloring
 
 
-def color_2ec(g: MultiGraph) -> EdgeColoring:
-    """Packing edge-coloring of a 2-edge-connected claw-free cubic graph.
-
-    That precondition is checked by `require_clawfree_cubic` in
-    `color_graph`, not here.
-
-    K4 and rings of diamonds get proper 3-edge-colorings; otherwise every
-    lifted cycle of a 2-factor of H is colored from its start connector
-    (1a on an even cycle, the 3a on an odd one; see `_start_slot`).
-    """
-    dec = oum_decompose(g)
-    if dec.variant == IS_K4:
-        return color_k4(g)
-    if dec.variant == RING_OF_DIAMONDS:
-        return _diamonds_coloring(g, dec.diamonds, g.edge_ids)
-    col = _color_substituted(g, dec)
-    assert len(col) == g.m, "assembled coloring is not total"
-    return col
-
-
 # ---------------------------------------------------------------------------
 # bridge-tree components
 # ---------------------------------------------------------------------------
@@ -408,10 +366,10 @@ def _wb_at_least_as_far(g: MultiGraph, bridges: BridgeSet, e_wb: EdgeId,
     return dist.get(e_wb, INFINITE) >= dist.get(e_su, INFINITE)
 
 
-# a loop leaf's 3-edge-coloring relabeled so that s1b1 gets 1a: in a ring
-# it is a connector; in K4 it shares a matching with the internal edge
-_RING_LEAF = _swap_perm(COLOR_1C, COLOR_1A)
-_K4_LEAF = {COLOR_1A: COLOR_1B, COLOR_1B: COLOR_1C, COLOR_1C: COLOR_1A}
+# a loop leaf's 3-edge-coloring, with s1b1 1a: in a ring it is a connector,
+# so the rest takes 1a; in K4 it shares a matching with the internal edge
+_RING_LEAF = (COLOR_1C, COLOR_1B, COLOR_1A)
+_K4_LEAF = (COLOR_1B, COLOR_1C, COLOR_1A)
 
 
 def _color_completion(g: MultiGraph, dec: OumDecomposition,
@@ -419,13 +377,16 @@ def _color_completion(g: MultiGraph, dec: OumDecomposition,
                       anchor: Optional[EdgeId]) -> EdgeColoring:
     """Color a big component's completion, decomposed by `oum_decompose`,
     with `anchor` (s1b1, id g.m, on an odd boundary) 1a and no 3a touching
-    it.  A loop leaf's diamonds, a K4 or a ring, take the fixed relabeling
-    above; its other edges, those at the dropped triangle, are left to the
+    it.  A bridgeless K4 or ring takes its diamonds' 3-edge-coloring; a
+    loop leaf's diamonds, a K4 or a ring, take the fixed colors above, and
+    its other edges, those at the dropped triangle, are left to the
     patch."""
     if dec.variant == SUBSTITUTED:
         return _color_substituted(g, dec, anchor)
-    return apply_permutation(
-        _diamonds_coloring(g, dec.diamonds, [anchor, *edge_ids]),
+    if anchor is None:
+        return _diamonds_coloring(g, dec.diamonds, edge_ids)
+    return _diamonds_coloring(
+        g, dec.diamonds, [anchor, *edge_ids],
         _RING_LEAF if dec.variant == RING_OF_DIAMONDS else _K4_LEAF)
 
 
@@ -513,16 +474,15 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
 def color_graph(g: MultiGraph) -> EdgeColoring:
     """Packing edge-coloring of any connected claw-free cubic graph.
 
-    Bridgeless graphs go straight to the 2-edge-connected construction;
-    otherwise the bridge tree is colored top-down, every bridge taking the
-    matching color missing at its parent endpoint and every child permuting
-    its matching colors so that same color is missing at its own endpoint.
-    The input is checked once, by `require_clawfree_cubic`, which raises
-    NotConnected, NotCubic or NotClawFree.  The result is checked once with
-    `verify`; a rejection raises ColoringFailed.
+    The bridge tree is colored top-down, every bridge taking the matching
+    color missing at its parent endpoint and every child permuting its
+    matching colors so that same color is missing at its own endpoint; a
+    bridgeless graph is a tree of one big component.  The input is checked
+    once, by `require_clawfree_cubic`, which raises NotConnected, NotCubic,
+    NotClawFree or NotSimple.  The result is checked once with `verify`; a
+    rejection raises ColoringFailed.
     """
-    bridges = require_clawfree_cubic(g)
-    coloring = _color_bridge_tree(g, bridges) if bridges else color_2ec(g)
+    coloring = _color_bridge_tree(g, require_clawfree_cubic(g))
     failures = verify(g, coloring, DEFAULT_SPEC)
     if failures:
         raise ColoringFailed(failures)

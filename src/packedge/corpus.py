@@ -65,7 +65,7 @@ def build_corpus(bridged_seeds: range = BRIDGED_SEEDS) -> List[CorpusEntry]:
 @dataclass
 class CorpusReport:
     rows: List[Tuple[str, int, int, int, bool]] = field(default_factory=list)
-    backtracks: int = 0      # colorings rejected by color_graph's verify
+    rejected: int = 0        # colorings rejected by color_graph's verify
     failures: int = 0
     seconds: float = 0.0
 
@@ -92,9 +92,9 @@ class CorpusReport:
         three_a_total = sum(row[3] for row in self.rows)
         lines.append(f"graphs colored: {self.total}")
         lines.append(f"3a edges used:  {three_a_total}")
-        lines.append(f"retry backtracks: {self.backtracks}"
+        lines.append(f"colorings rejected: {self.rejected}"
                      + ("  <-- nonzero: a constructed coloring was rejected"
-                        if self.backtracks else ""))
+                        if self.rejected else ""))
         lines.append(f"failures: {self.failures}")
         lines.append(f"wall time: {self.seconds:.1f}s")
         return lines
@@ -117,7 +117,7 @@ def run_corpus(entries: Optional[List[CorpusEntry]] = None,
             ok = False
             three_a = 0
             if isinstance(exc, ColoringFailed):
-                report.backtracks += 1
+                report.rejected += 1
             if verbose:
                 raise
         report.add(entry.name, g.n, g.m, three_a, ok)

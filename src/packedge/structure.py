@@ -41,10 +41,6 @@ class NotDecomposable(GraphError):
     """The structural decomposition's assertions failed for this input."""
 
 
-class NoBridges(GraphError):
-    """bridge_decompose was called on a bridgeless graph."""
-
-
 class ClassificationFailed(GraphError):
     """A bridge-tree component matches none of the three allowed shapes."""
 
@@ -107,12 +103,19 @@ def find_diamonds(g: MultiGraph, vertices: Optional[Iterable[VertexId]] = None
     the same three links, so each diamond is reported once, from the smaller
     of z and w.  The scan is linear in m.
     """
+    return _diamonds(g, {v: _links(g, v) for v in
+                         (g.vertices if vertices is None else vertices)})
+
+
+def _diamonds(g: MultiGraph,
+              links: Dict[VertexId, List[Tuple[VertexId, VertexId]]]
+              ) -> List[Diamond]:
+    """`find_diamonds` over the vertices of a table of their `_links`."""
     out = []
-    for z in g.vertices if vertices is None else vertices:
-        links = _links(g, z)
-        if len(links) != 2:
+    for z, z_links in links.items():
+        if len(z_links) != 2:
             continue
-        a, b = map(set, links)
+        a, b = map(set, z_links)
         (w,) = a & b
         if w < z:
             continue
@@ -315,7 +318,8 @@ class OumDecomposition:
     h: Optional[MultiGraph] = None
     triangles: Optional[Tuple[Triangle, ...]] = None
     realizations: Optional[Tuple[EdgeRealization, ...]] = None
-    diamonds: Optional[Tuple[Diamond, ...]] = None   # rings, K4 completions
+    # K4 and loop leaves: their one diamond, or a ring's diamonds
+    diamonds: Optional[Tuple[Diamond, ...]] = None
 
     def string_lengths(self) -> Tuple[int, ...]:
         if self.variant != SUBSTITUTED:
@@ -324,29 +328,19 @@ class OumDecomposition:
                             if r.is_string))
 
 
-def is_k4(g: MultiGraph) -> bool:
-    """True iff g is the complete simple graph on four vertices."""
-    if g.n != 4 or g.m != 6 or not g.is_simple():
-        return False
-    vs = g.vertices
-    return all(g.has_edge(vs[i], vs[j])
-               for i in range(4) for j in range(i + 1, 4))
-
-
-def _triangle_partition(g: MultiGraph, vertices: Iterable[VertexId],
+def _triangle_partition(links: Dict[VertexId, List[Tuple[VertexId, VertexId]]],
                         skip: Set[VertexId]) -> List[Tuple[VertexId, ...]]:
-    """The `vertices` outside `skip`, partitioned into triangles sorted by
-    smallest vertex: each such vertex has one link, and its triangle is the
-    one that link closes."""
+    """The vertices of the `links` table outside `skip`, partitioned into
+    triangles sorted by smallest vertex: each such vertex has one link, and
+    its triangle is the one that link closes."""
     tri_of: Dict[VertexId, Tuple[VertexId, ...]] = {}
-    for v in vertices:
+    for v, v_links in links.items():
         if v in skip:
             continue
-        links = _links(g, v)
-        if len(links) != 1:
+        if len(v_links) != 1:
             raise NotDecomposable(
-                f"vertex {v!r} lies in {len(links)} triangles")
-        tri_of[v] = tuple(sorted((v,) + links[0]))
+                f"vertex {v!r} lies in {len(v_links)} triangles")
+        tri_of[v] = tuple(sorted((v,) + v_links[0]))
     for tri in tri_of.values():
         if any(tri_of.get(u) != tri for u in tri):
             raise NotDecomposable(
@@ -387,14 +381,16 @@ def oum_decompose(g: MultiGraph,
     cubic completion of the big component of g with the sorted `vertices`,
     the `edge_ids` and the `boundary` that `bridge_decompose` holds.
 
-    K4 and rings of diamonds are reported as their own variants; anything
-    else is expressed as a cubic multigraph H with every vertex substituted
-    by a triangle and some H-edges realized as strings of diamonds.  The
-    diamonds and the triangles are read from g: every vertex outside the
-    strings lies on exactly one triangle.  H's edges are the plain edges
-    between two triangles, then one edge per string, ordered by (smaller
-    triangle, larger triangle, plain before string, edge id or the smallest
-    internal vertex of the string's two end diamonds).
+    K4 (one diamond plus the edge joining its externals) and rings of
+    diamonds are reported as their own variants with their `diamonds`;
+    anything else is expressed as a cubic multigraph H with every vertex
+    substituted by a triangle and some H-edges realized as strings of
+    diamonds.  The diamonds and the triangles are read from one table of
+    the vertices' links in g: every vertex outside the strings lies on
+    exactly one triangle.  H's edges are the plain edges between two
+    triangles, then one edge per string, ordered by (smaller triangle,
+    larger triangle, plain before string, edge id or the smallest internal
+    vertex of the string's two end diamonds).
 
     A component is completed in H, with no graph built.  Even boundary:
     plain H-edges v1v2, v3v4, ....  Odd: v1's triangle is dropped and its
@@ -415,11 +411,22 @@ def oum_decompose(g: MultiGraph,
     were).  An s1 or b1 off the H-edge at u1 or w1 raises NotDecomposable,
     as may input outside the precondition.
     """
-    if is_k4(g):
-        return OumDecomposition(variant=IS_K4)
+    edges = g.edge_list()
+    if g.n == 4 and g.m == 6 and g.is_simple():
+        # K4, the one simple graph with 4 vertices and 6 edges.  Its
+        # internal edge is the smaller of the opposite pair with the largest
+        # smaller id, so that pair's perfect matching is the last by ids
+        internal_edge = max(p for p in combinations(g.edge_ids, 2)
+                            if not set(edges[p[0]]) & set(edges[p[1]]))[0]
+        z, w = sorted(edges[internal_edge])
+        return OumDecomposition(variant=IS_K4, diamonds=(Diamond(
+            (z, w), tuple(v for v in g.vertices if v not in (z, w)),
+            internal_edge, frozenset(g.incident_edges(z)
+                                     + g.incident_edges(w))),))
     if vertices is None:
         vertices, edge_ids = g.vertices, g.edge_ids
-    diamonds = find_diamonds(g, vertices)
+    links = {v: _links(g, v) for v in vertices}
+    diamonds = _diamonds(g, links)
     strings = _strings_of(g, diamonds)
     if strings is None:
         return OumDecomposition(variant=RING_OF_DIAMONDS,
@@ -435,7 +442,7 @@ def oum_decompose(g: MultiGraph,
         s1, b1 = boundary.s[0], boundary.b[0]
         skip |= {deg2[0], u1, w1}
 
-    tri_sets = _triangle_partition(g, vertices, skip)
+    tri_sets = _triangle_partition(links, skip)
     tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
     triangles = [Triangle(vertices=(a, b, c), edge_ids=(
         g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
@@ -469,7 +476,6 @@ def oum_decompose(g: MultiGraph,
 
     # H's edges: (smaller triangle, larger triangle, is string, edge id or
     # end-diamond vertex, one end, other end, string)
-    edges = g.edge_list()
     inter = []
     for eid, (u, v) in chain(
             zip(edge_ids, map(edges.__getitem__, edge_ids)), plain_sb,
@@ -581,9 +587,11 @@ def bridge_decompose(g: MultiGraph,
 
     g is a connected simple claw-free cubic graph, as
     `require_clawfree_cubic` checks, and `bridges` its bridge set, which
-    that gate returns (found here when not given).  Every component is a K3, a diamond or a big
-    component (n >= 5, maximum degree 3); any other shape raises
-    ClassificationFailed.  A component of g minus its bridges is
+    that gate returns (found here when not given).  A bridgeless g is the
+    one-component tree: one big component, all of g, with an empty
+    boundary, root 0 and no up edge.  Otherwise every component is a K3, a
+    diamond or a big component (n >= 5, maximum degree 3); any other shape
+    raises ClassificationFailed.  A component of g minus its bridges is
     2-edge-connected by definition, so that is not checked again.  The tree
     is rooted at the smallest component index whose eccentricity equals the
     tree's diameter (a leaf on a longest path), and every non-root component
@@ -598,9 +606,15 @@ def bridge_decompose(g: MultiGraph,
     if bridges is None:
         bridges = find_bridges(g)
     if not bridges:
-        raise NoBridges("input graph has no bridge")
+        return BridgeDecomposition(
+            bridges=bridges, vertices=(g.vertices,), kinds=(BIG_COMPONENT,),
+            diamonds=(None,),
+            boundaries=(ComponentBoundary((), (), (), (), ()),),
+            edge_maps=(tuple(g.edge_ids),), tree=((),), root=0, levels=(0,),
+            up_edges=(None,))
 
-    # vertex partition by BFS avoiding bridge edges
+    # vertex partition by BFS avoiding bridge edges; the starts run through
+    # the sorted vertices, so components come out ordered by smallest vertex
     part: Dict[VertexId, int] = {}
     groups: List[List[VertexId]] = []
     for start in g.vertices:
@@ -619,17 +633,13 @@ def bridge_decompose(g: MultiGraph,
                 comp.append(u)
                 queue.append(u)
         groups.append(sorted(comp))
-    order = sorted(range(len(groups)), key=lambda i: groups[i][0])
-    rank = {old: new for new, old in enumerate(order)}
-    part = {v: rank[i] for v, i in part.items()}
-    groups = [groups[i] for i in order]
 
     c = len(groups)
     assert c == len(bridges) + 1, "bridge tree is not a tree"
     edge_maps: List[List[EdgeId]] = [[] for _ in range(c)]
-    for eid in g.edge_ids:
+    for eid, (u, _) in enumerate(g.edge_list()):
         if eid not in bridges:
-            edge_maps[part[g.endpoints(eid)[0]]].append(eid)
+            edge_maps[part[u]].append(eid)
     kinds, diamonds, degree2s = zip(*(_component_shape(g, verts, emap)
                                       for verts, emap in zip(groups, edge_maps)))
 

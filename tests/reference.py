@@ -111,6 +111,17 @@ def collect_diamond_strings(g):
     return _strings_of(g, find_diamonds(g))
 
 
+def color_k4_reference(g):
+    """Proper 3-edge-coloring of K4: its three perfect matchings, each a
+    pair of opposite edges, sorted by (smaller id, larger id) and colored
+    1a, 1b, 1c in that order."""
+    classes = sorted({tuple(sorted((e, f))) for e in g.edge_ids
+                      for f in g.edge_ids
+                      if not set(g.endpoints(e)) & set(g.endpoints(f))})
+    return {eid: color for color, pair in zip(("1a", "1b", "1c"), classes)
+            for eid in pair}
+
+
 def check_h(dec):
     """Assert what `oum_decompose` argues instead of checking: the H of a
     substituted decomposition is cubic and bridgeless."""

@@ -190,7 +190,7 @@ def test_criterion_09_leaf7_pair_worked_instance():
 
 def test_criterion_10_backtrack_diagnostics(corpus_report):
     lines = corpus_report.summary_lines()
-    surfaced = any("backtracks" in line for line in lines)
-    report(10, surfaced and corpus_report.backtracks >= 0,
-           f"corpus run reports retry backtracks = "
-           f"{corpus_report.backtracks} (informational)")
+    surfaced = any("colorings rejected" in line for line in lines)
+    report(10, surfaced and corpus_report.rejected >= 0,
+           f"corpus run reports colorings rejected = "
+           f"{corpus_report.rejected} (informational)")

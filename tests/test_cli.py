@@ -232,7 +232,7 @@ def test_corpus_limited_run(capsys):
     code, out, _ = run(capsys, "corpus", "--limit", "12", "--seeds", "20000..20002")
     assert code == 0
     assert "graphs colored: 12" in out
-    assert "retry backtracks:" in out
+    assert "colorings rejected:" in out
     assert "failures: 0" in out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import random
 import sys
 
@@ -8,10 +9,10 @@ import pytest
 import packedge.coloring as coloring_mod
 from packedge.coloring import (COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A,
                                ColoringFailed, NotClawFree, NotConnected,
-                               NotCubic, NotK4, ONE_COLORS, apply_permutation,
-                               color_2ec, color_component, color_cycle,
-                               color_graph, color_k4, color_string,
-                               _color_completion, _color_substituted,
+                               NotCubic, ONE_COLORS, apply_permutation,
+                               color_component, color_cycle, color_graph,
+                               color_string, _color_completion,
+                               _color_substituted, _diamonds_coloring,
                                _expand_all, _virtual_colors,
                                _wb_at_least_as_far,
                                TYPE_MATCHING, TYPE_CYCLE_1A, TYPE_CYCLE_1B,
@@ -27,14 +28,14 @@ from packedge.graph import NotSimple, build_graph
 from packedge.matching import two_factor_containing
 from packedge.structure import (BIG_COMPONENT, IS_K4, K3_COMPONENT,
                                 RING_OF_DIAMONDS, bridge_decompose,
-                                oum_decompose)
+                                find_diamonds, oum_decompose)
 from packedge.verify import verify
 
 from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, decompose_whole,
                       diamond_path, perfbench_workloads,
                       random_connected_graph, whole_boundary)
 from reference import (build_tilde_reference, collect_diamond_strings,
-                       edge_distance)
+                       color_k4_reference, edge_distance)
 
 # the package's `verify` attribute is the function, not the module
 verify_mod = importlib.import_module("packedge.verify")
@@ -54,9 +55,22 @@ def three_a_edges(coloring):
 # -- K4 ----------------------------------------------------------------------
 
 def test_color_k4_three_perfect_matchings(k4):
-    col = color_k4(k4)
+    col = color_graph(k4)
     assert class_sizes(col) == {"1a": 2, "1b": 2, "1c": 2}
     assert verify(k4, col) == []
+
+
+def test_color_k4_matches_reference_on_every_edge_order(k4):
+    # K4 is colored as one diamond plus the edge joining its externals;
+    # no pinned digest holds a bare K4, so every order of its edges, each
+    # with seeded orientation flips, is compared with the matchings sorted
+    rng = random.Random(4)
+    orders = list(itertools.permutations(k4.edge_list()))
+    assert len(orders) == 720
+    for order in orders:
+        g = build_graph([(v, u) if rng.random() < 0.5 else (u, v)
+                         for u, v in order])
+        assert color_graph(g) == color_k4_reference(g), order
 
 
 def test_color_k4_anchored(leaf7):
@@ -71,17 +85,12 @@ def test_color_k4_anchored(leaf7):
     assert [col[e] for e in pair_b + pair_c] == [COLOR_1B] * 2 + [COLOR_1C] * 2
 
 
-def test_color_k4_rejects_other(dipole):
-    with pytest.raises(NotK4):
-        color_k4(dipole)
-
-
 # -- rings ---------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_color_ring_class_sizes(k):
     g = gen_ring(k)
-    col = color_2ec(g)
+    col = color_graph(g)
     sizes = class_sizes(col)
     assert sizes == {"1a": 2 * k, "1b": 2 * k, "1c": 2 * k}
     assert COLOR_3A not in sizes
@@ -183,7 +192,7 @@ def test_color_string_bad_context():
 
 def test_color_2ec_substituted_k4(k4):
     g = gen_substituted(SubstitutionPlan(k4))
-    col = color_2ec(g)
+    col = color_graph(g)
     assert g.m == 18 and len(col) == 18
     assert COLOR_3A not in class_sizes(col)   # the 2-factor is a 4-cycle
     assert verify(g, col) == []
@@ -191,14 +200,14 @@ def test_color_2ec_substituted_k4(k4):
 
 def test_color_2ec_substituted_petersen():
     g = gen_substituted(SubstitutionPlan(gen_petersen()))
-    col = color_2ec(g)
+    col = color_graph(g)
     assert class_sizes(col)[COLOR_3A] == 2    # one per 5-cycle
     assert verify(g, col) == []
 
 
 def test_color_2ec_substituted_prism(prism):
     g = gen_substituted(SubstitutionPlan(prism))
-    col = color_2ec(g)
+    col = color_graph(g)
     assert verify(g, col) == []
     # this pipeline's deterministic 2-factor of the prism is the hexagon
     assert COLOR_3A not in class_sizes(col)
@@ -206,14 +215,14 @@ def test_color_2ec_substituted_prism(prism):
 
 def test_color_2ec_ring_of_four_no_3a():
     g = gen_ring(4)
-    col = color_2ec(g)
+    col = color_graph(g)
     assert COLOR_3A not in class_sizes(col)
     assert verify(g, col) == []
 
 
 def test_color_2ec_with_strings(k4):
     g = gen_substituted(SubstitutionPlan(k4, {0: 1, 4: 2}))
-    col = color_2ec(g)
+    col = color_graph(g)
     assert verify(g, col) == []
 
 
@@ -351,13 +360,13 @@ def test_3a_side_matches_two_distance_searches(seed):
 # -- permutations ------------------------------------------------------------
 
 def test_apply_permutation_identity(k4):
-    col = color_k4(k4)
+    col = color_graph(k4)
     ident = {c: c for c in ONE_COLORS}
     assert apply_permutation(col, ident) == col
 
 
 def test_apply_permutation_swap_stays_valid(k4):
-    col = color_k4(k4)
+    col = color_graph(k4)
     swapped = apply_permutation(col, {"1a": "1b", "1b": "1a", "1c": "1c"})
     assert verify(k4, swapped) == []
     assert class_sizes(swapped) == class_sizes(col)
@@ -444,8 +453,10 @@ def test_corpora_and_ladder_colorings_pinned(corpus):
 
 
 def test_color_graph_ring_dispatch():
+    # a bridgeless ring is one big component colored by its diamonds alone
     g = gen_ring(5)
-    assert color_graph(g) == color_2ec(g)
+    assert color_graph(g) == _diamonds_coloring(g, find_diamonds(g),
+                                                g.edge_ids)
 
 
 def test_color_graph_k3_hub():
@@ -536,7 +547,7 @@ def test_one_3a_per_odd_cycle_none_per_even():
     dec = oum_decompose(g)
     tf = two_factor_containing(dec.h)
     cycles = _expand_all(g, dec, tf)
-    col = color_2ec(g)
+    col = color_graph(g)
     assert verify(g, col) == []
     for cycle in cycles:
         region = set()
@@ -559,7 +570,7 @@ def test_diamond_strings_vertex_disjoint(k4):
     for s in strings:
         assert not (seen & s.vertices)
         seen |= s.vertices
-    col = color_2ec(g)
+    col = color_graph(g)
     assert verify(g, col) == []
 
 
@@ -592,16 +603,18 @@ def test_color_graph_verifies_once(monkeypatch, name):
 
 
 def test_boundary_rejection(monkeypatch, k4):
-    def broken_k4(g):
-        return {eid: COLOR_1A for eid in g.edge_ids}
-    monkeypatch.setattr(coloring_mod, "color_k4", broken_k4)
+    def broken_diamonds_coloring(g, diamonds, edges, colors=ONE_COLORS):
+        return {eid: COLOR_1A for eid in edges}
+    monkeypatch.setattr(coloring_mod, "_diamonds_coloring",
+                        broken_diamonds_coloring)
 
     with pytest.raises(ColoringFailed) as info:
         color_graph(k4)
-    assert info.value.violations == verify(k4, broken_k4(k4))
+    assert info.value.violations == verify(
+        k4, broken_diamonds_coloring(k4, (), k4.edge_ids))
     assert info.value.violations
 
     report = run_corpus([CorpusEntry("k4", k4, "k4")])
-    assert report.failures == 1 and report.backtracks == 1
-    assert any(line.startswith("retry backtracks: 1")
+    assert report.failures == 1 and report.rejected == 1
+    assert any(line.startswith("colorings rejected: 1")
                for line in report.summary_lines())

@@ -105,8 +105,8 @@ def test_edge_list_deterministic(k4):
 
 
 def test_coloring_document_round_trip(k4):
-    from packedge.coloring import color_k4
-    col = color_k4(k4)
+    from packedge.coloring import color_graph
+    col = color_graph(k4)
     text = write_coloring(k4, col, {"note": 1})
     g, back = parse_coloring(text)
     assert g.edge_list() == k4.edge_list()

@@ -20,7 +20,7 @@ from packedge.recognize import (find_bridges, find_claw, is_cubic,
 from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
                                 ClaimViolation, ClassificationFailed,
-                                ComponentBoundary, Diamond, NoBridges,
+                                ComponentBoundary, Diamond,
                                 NotDecomposable, UpEdge, bridge_decompose,
                                 find_diamonds, oum_decompose)
 
@@ -251,16 +251,16 @@ def test_detect_ring_substituted_k4_none(k4):
 
 # -- oum decomposition -------------------------------------------------------
 
-def counting_find_diamonds(monkeypatch):
-    """Count find_diamonds calls made through structure."""
+def counting_links(monkeypatch):
+    """Record (graph, vertex) for every `_links` call made in structure."""
     import packedge.structure as structure
     calls = []
-    real = structure.find_diamonds
+    real = structure._links
 
-    def counted(g, *vertices):
-        calls.append(g)
-        return real(g, *vertices)
-    monkeypatch.setattr(structure, "find_diamonds", counted)
+    def counted(g, v):
+        calls.append((g, v))
+        return real(g, v)
+    monkeypatch.setattr(structure, "_links", counted)
     return calls
 
 
@@ -270,19 +270,27 @@ def counting_find_diamonds(monkeypatch):
         [(a, b) for a in range(4) for b in range(a + 1, 4)]), {0: 2, 3: 1})),
 ], ids=["ring", "substitution"])
 def test_one_diamond_scan_per_decomposition(monkeypatch, make):
-    from packedge.coloring import color_2ec
+    from packedge.coloring import color_graph
     g = make()
-    calls = counting_find_diamonds(monkeypatch)
+    calls = counting_links(monkeypatch)
     dec = oum_decompose(g)
-    assert len(calls) == 1
+    # one table of links per decomposition, read by the diamond scan and
+    # the triangle partition alike
+    assert calls == [(g, v) for v in g.vertices]
     if dec.variant == RING_OF_DIAMONDS:
         assert len(dec.diamonds) == dec.ring_size == 5
-    color_2ec(g)
-    assert len(calls) == 2          # color_2ec decomposes once more, no more
+    color_graph(g)                  # decomposes once more, no more
+    assert calls == [(g, v) for v in g.vertices] * 2
 
 
 def test_oum_k4(k4):
-    assert oum_decompose(k4).variant == IS_K4
+    # K4 is one diamond plus the edge joining its externals; the internal
+    # edge's matching {03, 12} has the largest smaller id
+    dec = oum_decompose(k4)
+    assert dec.variant == IS_K4
+    assert dec.diamonds == (Diamond(internal=(0, 3), external=(1, 2),
+                                    internal_edge=2,
+                                    edges=frozenset({0, 1, 2, 4, 5})),)
 
 
 def test_oum_ring():
@@ -407,9 +415,10 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
         g = gen_random_clawfree_cubic(701, bridged=bridged)
         del searched[:], cubic[:], components[:], hs[:]
         coloring.color_graph(g)
-        # the input gate searches g once; no H and no completion is searched
-        # or checked cubic again
-        assert hs and any(components) == bridged
+        # every input reaches oum_decompose as a component of its bridge
+        # tree; the input gate searches g once, and no H and no completion
+        # is searched or checked cubic again
+        assert hs and all(components)
         assert [id(x) for x in searched] == [id(g)]
         assert [id(x) for x in cubic] == [id(g)]
 
@@ -417,14 +426,18 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
 def test_component_shapes_come_from_bridge_decompose(monkeypatch):
     import packedge.coloring as coloring
     g = diamond_path(random.Random(3), 400)
-    scans = counting_find_diamonds(monkeypatch)
+    bd = bridge_decompose(g)
+    links = counting_links(monkeypatch)
     two_ec = recorded_calls(monkeypatch, "is_two_edge_connected")
     claws = recorded_calls(monkeypatch, "find_claw")
     built = recorded_graphs(monkeypatch)
     coloring.color_graph(g)
-    # one scan of g per big component (both leaves), none per diamond; each
-    # leaf's completion is a K4 or a ring, and no graph is built for it
-    assert scans == [g, g]
+    # the links of g are read once per vertex of each big component (both
+    # leaves), never in a diamond; each leaf's completion is a K4 or a
+    # ring, and no graph is built for it
+    assert links == [(g, v) for verts, kind in zip(bd.vertices, bd.kinds)
+                     if kind == BIG_COMPONENT for v in verts]
+    assert bd.kinds.count(BIG_COMPONENT) == 2
     assert built == []
     # no whole-graph re-check of a completion
     assert two_ec == []
@@ -508,9 +521,15 @@ def test_two_thousand_diamond_path():
     assert sorted(col) == list(g.edge_ids)
 
 
-def test_bridge_decompose_bridgeless_raises(k4):
-    with pytest.raises(NoBridges):
-        bridge_decompose(k4)
+def test_bridge_decompose_bridgeless_is_one_component(k4):
+    for g in (k4, gen_ring(3)):
+        bd = bridge_decompose(g)
+        assert bd.bridges == frozenset() and bd.kinds == (BIG_COMPONENT,)
+        assert bd.vertices == (g.vertices,)
+        assert bd.edge_maps == (tuple(g.edge_ids),)
+        assert bd.root == 0 and bd.levels == (0,) and bd.tree == ((),)
+        assert bd.up_edges == (None,) and bd.diamonds == (None,)
+        assert bd.boundaries[0].r == 0
 
 
 # -- classification ----------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from packedge.coloring import color_graph, color_k4
+from packedge.coloring import color_graph
 from packedge.families import (SubstitutionPlan, gen_random_clawfree_cubic,
                                gen_substituted, random_cubic_multigraph_2ec)
 from packedge.graph import UnknownEdge, build_graph
@@ -95,7 +95,7 @@ def test_spec_validation():
 
 
 def test_k4_three_coloring_ok(k4):
-    assert verify(k4, color_k4(k4), DEFAULT_SPEC) == []
+    assert verify(k4, color_graph(k4), DEFAULT_SPEC) == []
 
 
 def test_adjacent_same_matching_color():
@@ -140,7 +140,7 @@ def test_unknown_label_rejected(k4):
 
 def test_label_on_unknown_edge_rejected(k4):
     for extra in (k4.m, 99, -1):
-        coloring = color_k4(k4)
+        coloring = color_graph(k4)
         coloring[extra] = "1a"
         with pytest.raises(UnknownEdge):
             verify(k4, coloring, DEFAULT_SPEC)
