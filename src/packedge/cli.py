@@ -103,9 +103,9 @@ def cmd_recognize(args) -> int:
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args.graph)
-    bridges = require_clawfree_cubic(g)
-    if bridges:
-        bd = bridge_decompose(g, bridges)
+    facts = require_clawfree_cubic(g)
+    if facts.bridges:
+        bd = bridge_decompose(g, facts)
         doc = {
             "kind": "bridge-tree",
             "bridges": sorted(bd.bridges),
@@ -118,7 +118,7 @@ def cmd_decompose(args) -> int:
             "tree": [list(row) for row in bd.tree],
         }
     else:
-        dec = oum_decompose(g)
+        dec = oum_decompose(g, links=facts.links)
         doc = {"kind": "oum", "variant": dec.variant}
         if dec.variant == RING_OF_DIAMONDS:
             doc["ring_size"] = dec.ring_size

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import INFINITE, EdgeId, GraphError, MultiGraph, VertexId
 from .matching import two_factor_containing
-from .recognize import (BridgeSet, NotClawFree, NotConnected, NotCubic,
+from .recognize import (BridgeSet, Links, NotClawFree, NotConnected, NotCubic,
                         require_clawfree_cubic)  # the errors are re-exported
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, K3_COMPONENT,
                         RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
@@ -392,9 +392,11 @@ def _color_completion(g: MultiGraph, dec: OumDecomposition,
 
 def color_component(g: MultiGraph, bridges: BridgeSet,
                     vertices: Sequence[VertexId], edge_ids: Sequence[EdgeId],
-                    boundary: ComponentBoundary) -> EdgeColoring:
+                    boundary: ComponentBoundary,
+                    links: Optional[Links] = None) -> EdgeColoring:
     """Color one big component of g, its sorted `vertices` and its edges
-    `edge_ids`, in g's edge ids so all its boundary edges stay 1-colored.
+    `edge_ids`, in g's edge ids so all its boundary edges stay 1-colored;
+    `links` is the gate's table of g (see `oum_decompose`).
 
     `oum_decompose` completes the component in H, where it argues that the
     completion is a 2-edge-connected claw-free cubic graph; that coloring,
@@ -403,7 +405,7 @@ def color_component(g: MultiGraph, bridges: BridgeSet,
     locally; 3a goes to whichever of w1b1 / s1u1 is farther from the 3a
     edges already present.
     """
-    dec = oum_decompose(g, vertices, edge_ids, boundary)
+    dec = oum_decompose(g, vertices, edge_ids, boundary, links)
     odd = boundary.r % 2
     out = {eid: c for eid, c in _color_completion(
         g, dec, edge_ids, g.m if odd else None).items() if eid < g.m}
@@ -442,11 +444,22 @@ def _missing_color_at(g: MultiGraph, bridges: BridgeSet,
     return left[0]
 
 
-def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
-    """Color the bridge tree of g root-down (see `color_graph`), in g's
-    edge ids: K3 edges take the three matching colors, a diamond its ring
-    scheme, and a big component is read from g with `color_component`."""
-    bd = bridge_decompose(g, bridges)
+def color_graph(g: MultiGraph) -> EdgeColoring:
+    """Packing edge-coloring of any connected claw-free cubic graph.
+
+    The bridge tree is colored root-down in g's edge ids, every bridge
+    taking the matching color missing at its parent endpoint and every
+    child permuting its matching colors so that same color is missing at
+    its own endpoint: K3 edges take the three matching colors, a diamond
+    its ring scheme, and a big component is read from g with
+    `color_component`.  A bridgeless graph is a tree of one big component.
+    The input is checked once, by `require_clawfree_cubic`, which raises
+    NotConnected, NotCubic, NotSimple or NotClawFree and hands its bridges,
+    components and links on.  The result is checked once with `verify`; a
+    rejection raises ColoringFailed.
+    """
+    facts = require_clawfree_cubic(g)
+    bd = bridge_decompose(g, facts)
     assert bd.kinds[bd.root] == BIG_COMPONENT, "root component must be big"
     final: EdgeColoring = {}
     for idx in sorted(range(len(bd.kinds)), key=lambda i: (bd.levels[i], i)):
@@ -457,7 +470,7 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
             col = _diamonds_coloring(g, [bd.diamonds[idx]], emap)
         else:
             col = color_component(g, bd.bridges, bd.vertices[idx], emap,
-                                  bd.boundaries[idx])
+                                  bd.boundaries[idx], facts.links)
         if up is not None:
             bridge_color = _missing_color_at(g, bd.bridges, final, up.q)
             final[up.bridge] = bridge_color
@@ -468,22 +481,7 @@ def _color_bridge_tree(g: MultiGraph, bridges: BridgeSet) -> EdgeColoring:
         final.update(col)
 
     assert len(final) == g.m, "assembled coloring is not total"
-    return final
-
-
-def color_graph(g: MultiGraph) -> EdgeColoring:
-    """Packing edge-coloring of any connected claw-free cubic graph.
-
-    The bridge tree is colored top-down, every bridge taking the matching
-    color missing at its parent endpoint and every child permuting its
-    matching colors so that same color is missing at its own endpoint; a
-    bridgeless graph is a tree of one big component.  The input is checked
-    once, by `require_clawfree_cubic`, which raises NotConnected, NotCubic,
-    NotClawFree or NotSimple.  The result is checked once with `verify`; a
-    rejection raises ColoringFailed.
-    """
-    coloring = _color_bridge_tree(g, require_clawfree_cubic(g))
-    failures = verify(g, coloring, DEFAULT_SPEC)
+    failures = verify(g, final, DEFAULT_SPEC)
     if failures:
         raise ColoringFailed(failures)
-    return coloring
+    return final

@@ -305,7 +305,7 @@ def gen_random_clawfree_cubic(seed: int, h_vertices: int = 8,
         strings = {eid: rng.randint(1, 3) for eid in h.edge_ids
                    if rng.random() < string_chance}
         g = gen_substituted(SubstitutionPlan(h, strings))
-    bridges = require_clawfree_cubic(g)
+    bridges = require_clawfree_cubic(g).bridges
     if bridged and not bridges:
         raise GenerationFailed(f"seed {seed} produced no bridge")
     return g

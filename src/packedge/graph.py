@@ -94,14 +94,6 @@ class MultiGraph:
             pass
         raise UnknownEdge(f"edge id {eid!r}")
 
-    def other_end(self, eid: EdgeId, v: VertexId) -> VertexId:
-        u, w = self.endpoints(eid)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise UnknownEdge(f"vertex {v!r} is not an endpoint of edge {eid}")
-
     def incident(self, v: VertexId) -> Tuple[Tuple[EdgeId, VertexId], ...]:
         """All (edge id, other endpoint) pairs at v, in edge-id order."""
         return self._adj[v]

@@ -4,13 +4,14 @@ Two structures are computed here.  For 2-edge-connected inputs: the
 triangle-and-diamond-string decomposition (the graph is K4, a ring of
 diamonds, or a cubic multigraph H with every vertex blown up into a triangle
 and some edges realized as strings of diamonds).  It reads each vertex's
-local shape straight from g: in a simple claw-free cubic graph, the number
-of edges among a vertex's three neighbours is 1 on exactly one triangle,
-2 inside a diamond, and 3 only in K4.  For inputs with bridges:
-the bridge tree, whose components are typed once, as they are cut, as K3s,
-diamonds or big components; and boundary data for the degree-2 vertices of
-a big component.  The first decomposition, read from a big component's part
-of g, also gives the component's cubic completion, as an edit of its H.
+local shape from the input gate's table of links: in a simple claw-free
+cubic graph, the number of edges among a vertex's three neighbours is 1 on
+exactly one triangle, 2 inside a diamond, and 3 only in K4.  For inputs
+with bridges: the bridge tree, whose components the gate's DFS finds, each
+typed once as a K3, a diamond or a big component; and boundary data for
+the degree-2 vertices of a big component.  The first decomposition, read
+from a big component's part of g, also gives the component's cubic
+completion, as an edit of its H.
 
 Every structural fact the later coloring stages rely on is asserted here and
 surfaced as an error when violated, so a bad input fails loudly at the
@@ -26,7 +27,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
 from .graph import EdgeId, GraphError, MultiGraph, VertexId, build_graph
-from .recognize import BridgeSet, find_bridges
+from .recognize import (BridgeSet, GateFacts, Links, _bridge_dfs,
+                        _link_table)
 
 IS_K4 = "k4"
 RING_OF_DIAMONDS = "ring-of-diamonds"
@@ -84,35 +86,21 @@ class Diamond:
         return pairs[0], pairs[1]
 
 
-def _links(g: MultiGraph, v: VertexId) -> List[Tuple[VertexId, VertexId]]:
-    """The adjacent pairs among v's neighbours, or [] if v has more than
-    three distinct neighbours."""
-    nbrs = g.neighbors(v)
-    if len(nbrs) > 3:
-        return []
-    return [p for p in combinations(nbrs, 2) if g.has_edge(*p)]
-
-
-def find_diamonds(g: MultiGraph, vertices: Optional[Iterable[VertexId]] = None
-                  ) -> List[Diamond]:
+def find_diamonds(g: MultiGraph, vertices: Optional[Iterable[VertexId]] = None,
+                  links: Optional[Links] = None) -> List[Diamond]:
     """All induced diamonds of a simple graph of maximum degree 3 with their
     internal pair in `vertices` (default: all of g), by internal pair.
 
     A vertex z with two links is internal: its partner w is the neighbour in
     both links, and the other two neighbours are the externals.  w then has
     the same three links, so each diamond is reported once, from the smaller
-    of z and w.  The scan is linear in m.
+    of z and w.  The `links` are the gate's table of g, built here by the
+    gate's rule when not given, and the scan is linear in m.
     """
-    return _diamonds(g, {v: _links(g, v) for v in
-                         (g.vertices if vertices is None else vertices)})
-
-
-def _diamonds(g: MultiGraph,
-              links: Dict[VertexId, List[Tuple[VertexId, VertexId]]]
-              ) -> List[Diamond]:
-    """`find_diamonds` over the vertices of a table of their `_links`."""
+    links = _link_table(g) if links is None else links
     out = []
-    for z, z_links in links.items():
+    for z in (g.vertices if vertices is None else vertices):
+        z_links = links[z]
         if len(z_links) != 2:
             continue
         a, b = map(set, z_links)
@@ -182,9 +170,9 @@ def _external_exit(g: MultiGraph, d: Diamond, x: VertexId
 
 def _strings_of(g: MultiGraph, diamonds: List[Diamond]
                 ) -> Optional[List[DiamondString]]:
-    """Group the diamonds of g into maximal strings, or None if they form a
-    ring: k >= 2 disjoint diamonds on all 4k vertices of a connected g, every
-    external's outside edge reaching another diamond.
+    """Group the diamonds of a connected g into maximal strings, or None if
+    they form a ring: k >= 2 disjoint diamonds on all 4k vertices of g,
+    every external's outside edge reaching another diamond.
 
     Raises NotDecomposable if diamonds overlap or chain into a closed cycle
     that is not such a ring.
@@ -206,7 +194,7 @@ def _strings_of(g: MultiGraph, diamonds: List[Diamond]
         links[i] = entries
     if len(diamonds) >= 2 and 4 * len(diamonds) == g.n and all(
             o not in (None, i) for i, entries in links.items()
-            for (_, _, _, o) in entries) and g.is_connected():
+            for (_, _, _, o) in entries):
         return None
 
     strings: List[DiamondString] = []
@@ -328,15 +316,16 @@ class OumDecomposition:
                             if r.is_string))
 
 
-def _triangle_partition(links: Dict[VertexId, List[Tuple[VertexId, VertexId]]],
+def _triangle_partition(vertices: Iterable[VertexId], links: Links,
                         skip: Set[VertexId]) -> List[Tuple[VertexId, ...]]:
-    """The vertices of the `links` table outside `skip`, partitioned into
-    triangles sorted by smallest vertex: each such vertex has one link, and
-    its triangle is the one that link closes."""
+    """`vertices` outside `skip`, partitioned into triangles sorted by
+    smallest vertex: each such vertex has one link, and its triangle is the
+    one that link closes."""
     tri_of: Dict[VertexId, Tuple[VertexId, ...]] = {}
-    for v, v_links in links.items():
+    for v in vertices:
         if v in skip:
             continue
+        v_links = links[v]
         if len(v_links) != 1:
             raise NotDecomposable(
                 f"vertex {v!r} lies in {len(v_links)} triangles")
@@ -375,8 +364,8 @@ def _joined(at_u: Optional[DiamondString], sb_eid: EdgeId,
 def oum_decompose(g: MultiGraph,
                   vertices: Optional[Sequence[VertexId]] = None,
                   edge_ids: Optional[Sequence[EdgeId]] = None,
-                  boundary: Optional[ComponentBoundary] = None
-                  ) -> OumDecomposition:
+                  boundary: Optional[ComponentBoundary] = None,
+                  links: Optional[Links] = None) -> OumDecomposition:
     """Decompose a 2-edge-connected simple claw-free cubic graph g, or the
     cubic completion of the big component of g with the sorted `vertices`,
     the `edge_ids` and the `boundary` that `bridge_decompose` holds.
@@ -385,12 +374,12 @@ def oum_decompose(g: MultiGraph,
     diamonds are reported as their own variants with their `diamonds`;
     anything else is expressed as a cubic multigraph H with every vertex
     substituted by a triangle and some H-edges realized as strings of
-    diamonds.  The diamonds and the triangles are read from one table of
-    the vertices' links in g: every vertex outside the strings lies on
-    exactly one triangle.  H's edges are the plain edges between two
-    triangles, then one edge per string, ordered by (smaller triangle,
-    larger triangle, plain before string, edge id or the smallest internal
-    vertex of the string's two end diamonds).
+    diamonds.  The diamonds and the triangles are read from the gate's
+    table of `links` in g, built here when not given: every vertex outside
+    the strings lies on exactly one triangle.  H's edges are the plain
+    edges between two triangles, then one edge per string, ordered by
+    (smaller triangle, larger triangle, plain before string, edge id or the
+    smallest internal vertex of the string's two end diamonds).
 
     A component is completed in H, with no graph built.  Even boundary:
     plain H-edges v1v2, v3v4, ....  Odd: v1's triangle is dropped and its
@@ -399,8 +388,9 @@ def oum_decompose(g: MultiGraph,
     corners leaves a K4 (one diamond) or a ring.  Then v2v3, v4v5, ....
     Added edges take ids g.m, g.m + 1, ...: s1b1 first, then the pairs.
 
-    The precondition is not checked here: `require_clawfree_cubic` checks g
-    and `component_boundary` the boundary.  Nor is H re-checked.  It is
+    The precondition is not checked here: `require_clawfree_cubic` checks g,
+    connectivity included, which tells a ring of diamonds from strings, and
+    `component_boundary` checks the boundary.  Nor is H re-checked.  It is
     cubic: the corner check gives each triangle one H-edge per corner.  It
     has no loops: a string that attaches twice to one triangle raises
     NotDecomposable, and an s1b1 that would be a loop raises
@@ -425,8 +415,8 @@ def oum_decompose(g: MultiGraph,
                                      + g.incident_edges(w))),))
     if vertices is None:
         vertices, edge_ids = g.vertices, g.edge_ids
-    links = {v: _links(g, v) for v in vertices}
-    diamonds = _diamonds(g, links)
+    links = _link_table(g) if links is None else links
+    diamonds = find_diamonds(g, vertices, links)
     strings = _strings_of(g, diamonds)
     if strings is None:
         return OumDecomposition(variant=RING_OF_DIAMONDS,
@@ -442,7 +432,7 @@ def oum_decompose(g: MultiGraph,
         s1, b1 = boundary.s[0], boundary.b[0]
         skip |= {deg2[0], u1, w1}
 
-    tri_sets = _triangle_partition(links, skip)
+    tri_sets = _triangle_partition(vertices, links, skip)
     tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
     triangles = [Triangle(vertices=(a, b, c), edge_ids=(
         g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
@@ -551,11 +541,12 @@ class BridgeDecomposition:
     up_edges: Tuple[Optional[UpEdge], ...]      # None exactly at the root
 
 
-def _component_shape(g: MultiGraph, verts: List[VertexId],
-                     emap: List[EdgeId]
+def _component_shape(g: MultiGraph, verts: Sequence[VertexId],
+                     emap: List[EdgeId], cut: Counter
                      ) -> Tuple[str, Optional[Diamond], List[VertexId]]:
     """The kind of one component of g minus its bridges, its diamond, and
-    its vertices of degree 2 in the component, in order.
+    its vertices of degree 2 in the component, in order; `cut` counts the
+    bridges at each vertex.
 
     g is simple, as `require_clawfree_cubic` checks.  So a component on
     three vertices with three edges is K3, and one on four vertices with
@@ -563,18 +554,16 @@ def _component_shape(g: MultiGraph, verts: List[VertexId],
     vertices of degree 3.
     """
     n, m = len(verts), len(emap)
-    deg = Counter(v for eid in emap for v in g.endpoints(eid))
-    degree2 = [v for v in verts if deg[v] == 2]
+    deg = [g.degree(v) - cut[v] for v in verts]
+    degree2 = [v for v, d in zip(verts, deg) if d == 2]
     if n == 3 and m == 3:
         return K3_COMPONENT, None, degree2
     if n == 4 and m == 5:
-        internal = tuple(v for v in verts if deg[v] == 3)
-        internal_edge = next(eid for eid in emap
-                             if set(g.endpoints(eid)) == set(internal))
+        z, w = (v for v, d in zip(verts, deg) if d == 3)
         return DIAMOND_COMPONENT, Diamond(
-            internal=internal, external=tuple(degree2),
-            internal_edge=internal_edge, edges=frozenset(emap)), degree2
-    degs = tuple(sorted(deg[v] for v in verts))
+            internal=(z, w), external=tuple(degree2),
+            internal_edge=g.edge_between(z, w), edges=frozenset(emap)), degree2
+    degs = tuple(sorted(deg))
     if n >= 5 and degs[-1] == 3:
         return BIG_COMPONENT, None, degree2
     raise ClassificationFailed(
@@ -582,14 +571,15 @@ def _component_shape(g: MultiGraph, verts: List[VertexId],
 
 
 def bridge_decompose(g: MultiGraph,
-                     bridges: Optional[BridgeSet] = None) -> BridgeDecomposition:
+                     facts: Optional[GateFacts] = None) -> BridgeDecomposition:
     """Components of g minus its bridges, typed, with the rooted bridge tree.
 
     g is a connected simple claw-free cubic graph, as
-    `require_clawfree_cubic` checks, and `bridges` its bridge set, which
-    that gate returns (found here when not given).  A bridgeless g is the
-    one-component tree: one big component, all of g, with an empty
-    boundary, root 0 and no up edge.  Otherwise every component is a K3, a
+    `require_clawfree_cubic` checks; its bridges and the components' vertex
+    sets are read from the `facts` that gate returns, or found by the
+    gate's DFS when not given.  A bridgeless g is the one-component tree:
+    one big component, all of g, with an empty boundary, root 0 and no up
+    edge.  Otherwise every component is a K3, a
     diamond or a big component (n >= 5, maximum degree 3); any other shape
     raises ClassificationFailed.  A component of g minus its bridges is
     2-edge-connected by definition, so that is not checked again.  The tree
@@ -597,14 +587,15 @@ def bridge_decompose(g: MultiGraph,
     tree's diameter (a leaf on a longest path), and every non-root component
     records the bridge to its parent, where a big one's boundary starts.
 
-    The work is linear in m.  One sweep over the edges splits them into
-    components, and three BFS passes give every eccentricity: a is a node
+    The work is linear in m, up to sorting.  One sweep over the edges
+    splits them into components, each typed from its vertices' degrees less
+    their bridges, and three BFS passes give every eccentricity: a is a node
     farthest from node 0, b a node farthest from a, and in a tree
     ecc(v) = max(d(a, v), d(b, v)).  No component graph is built: later
     stages read a component from g through `vertices` and `edge_maps`.
     """
-    if bridges is None:
-        bridges = find_bridges(g)
+    bridges, groups = ((facts.bridges, facts.components) if facts
+                       else _bridge_dfs(g))
     if not bridges:
         return BridgeDecomposition(
             bridges=bridges, vertices=(g.vertices,), kinds=(BIG_COMPONENT,),
@@ -613,34 +604,15 @@ def bridge_decompose(g: MultiGraph,
             edge_maps=(tuple(g.edge_ids),), tree=((),), root=0, levels=(0,),
             up_edges=(None,))
 
-    # vertex partition by BFS avoiding bridge edges; the starts run through
-    # the sorted vertices, so components come out ordered by smallest vertex
-    part: Dict[VertexId, int] = {}
-    groups: List[List[VertexId]] = []
-    for start in g.vertices:
-        if start in part:
-            continue
-        idx = len(groups)
-        comp = [start]
-        part[start] = idx
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for eid, u in g.incident(v):
-                if eid in bridges or u in part:
-                    continue
-                part[u] = idx
-                comp.append(u)
-                queue.append(u)
-        groups.append(sorted(comp))
-
+    part = {v: i for i, verts in enumerate(groups) for v in verts}
     c = len(groups)
     assert c == len(bridges) + 1, "bridge tree is not a tree"
     edge_maps: List[List[EdgeId]] = [[] for _ in range(c)]
     for eid, (u, _) in enumerate(g.edge_list()):
         if eid not in bridges:
             edge_maps[part[u]].append(eid)
-    kinds, diamonds, degree2s = zip(*(_component_shape(g, verts, emap)
+    cut = Counter(chain.from_iterable(map(g.endpoints, bridges)))
+    kinds, diamonds, degree2s = zip(*(_component_shape(g, verts, emap, cut)
                                       for verts, emap in zip(groups, edge_maps)))
 
     adj: List[Set[int]] = [set() for _ in range(c)]
@@ -692,7 +664,7 @@ def bridge_decompose(g: MultiGraph,
         if kinds[i] == BIG_COMPONENT else None for i in range(c))
 
     return BridgeDecomposition(
-        bridges=bridges, vertices=tuple(tuple(vs) for vs in groups),
+        bridges=bridges, vertices=groups,
         kinds=kinds, diamonds=diamonds, boundaries=boundaries,
         edge_maps=tuple(tuple(emap) for emap in edge_maps), tree=tree,
         root=root, levels=tuple(levels), up_edges=tuple(up))

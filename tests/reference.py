@@ -4,6 +4,8 @@ None of these is used by the coloring pipeline; each is the slow, obvious
 version of something the library computes another way.
 """
 
+from itertools import combinations
+
 from packedge.families import SubstitutionPlan, gen_k4, gen_ring, gen_substituted
 from packedge.graph import INFINITE, MultiGraph, edge_distances_from
 from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
@@ -65,6 +67,39 @@ def find_bridges_bruteforce(g):
         if len(connected_components(reduced)) > base:
             out.add(eid)
     return frozenset(out)
+
+
+def bridge_components_reference(g, bridges):
+    """The sorted vertex sets of g minus `bridges`, ordered by smallest
+    vertex: one BFS avoiding bridge edges from each sorted vertex not yet
+    reached."""
+    part = {}
+    groups = []
+    for start in g.vertices:
+        if start in part:
+            continue
+        part[start] = len(groups)
+        comp = [start]
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for eid, u in g.incident(v):
+                if eid in bridges or u in part:
+                    continue
+                part[u] = len(groups)
+                comp.append(u)
+                queue.append(u)
+        groups.append(tuple(sorted(comp)))
+    return groups
+
+
+def links_reference(g, v):
+    """The adjacent pairs among v's sorted distinct neighbours, each tested
+    with `has_edge`, or [] if v has more than three neighbours."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) > 3:
+        return []
+    return [p for p in combinations(nbrs, 2) if g.has_edge(*p)]
 
 
 def edge_distance(g, e, f):

@@ -193,9 +193,10 @@ def two_prisms():
 @pytest.mark.parametrize("make,error", [
     (subdivided_k33_pair, "error: claw at"),
     (two_prisms, "error: input graph is not connected"),
+    (lambda: build_graph([]), "error: input graph is empty"),
 ] + [(make, "error: input graph has parallel edges")
      for make in PARALLEL_EDGE_INPUTS.values()],
-    ids=["clawed-bridged", "two-prisms", *PARALLEL_EDGE_INPUTS])
+    ids=["clawed-bridged", "two-prisms", "empty", *PARALLEL_EDGE_INPUTS])
 def test_decompose_rejects_input_outside_the_class(tmp_path, capsys, make,
                                                    error):
     graph_file = tmp_path / "g.json"

@@ -3,13 +3,18 @@ from itertools import combinations
 
 import pytest
 
-from packedge.families import gen_random_clawfree_cubic
+from packedge.families import (enumerate_cubic_multigraphs,
+                               gen_random_clawfree_cubic,
+                               random_cubic_multigraph_2ec)
 from packedge.graph import NotSimple, build_graph
-from packedge.recognize import (find_bridges, find_claw, is_cubic,
-                                is_two_edge_connected, require_clawfree_cubic)
+from packedge.recognize import (NotClawFree, NotConnected, NotCubic,
+                                _bridge_dfs, find_bridges, find_claw,
+                                is_cubic, is_two_edge_connected,
+                                require_clawfree_cubic)
 
 from conftest import PARALLEL_EDGE_INPUTS, random_connected_graph
-from reference import find_bridges_bruteforce
+from reference import (bridge_components_reference, find_bridges_bruteforce,
+                       links_reference)
 
 
 def brute_force_claws(g):
@@ -126,3 +131,90 @@ def test_gate_rejects_parallel_edges(name):
     assert g.is_connected() and is_cubic(g) and find_claw(g) is None
     with pytest.raises(NotSimple, match="parallel edges"):
         require_clawfree_cubic(g)
+
+
+# -- the one-pass gate -------------------------------------------------------
+
+def test_gate_facts_match_references_on_corpus(corpus):
+    # bridges, components and links of every corpus graph, each against its
+    # definitional reference
+    for entry in corpus:
+        g = entry.graph
+        facts = require_clawfree_cubic(g)
+        assert facts.bridges == find_bridges_bruteforce(g), entry.name
+        assert list(facts.components) == \
+            bridge_components_reference(g, facts.bridges), entry.name
+        assert facts.links == {v: links_reference(g, v)
+                               for v in g.vertices}, entry.name
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gate_bridges_match_bruteforce_on_bridged_graphs(seed):
+    g = gen_random_clawfree_cubic(900 + seed, bridged=True)
+    facts = require_clawfree_cubic(g)
+    assert facts.bridges and facts.bridges == find_bridges_bruteforce(g)
+    assert list(facts.components) == \
+        bridge_components_reference(g, facts.bridges)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bridge_dfs_on_multigraphs(seed):
+    # random multigraphs, every third one disconnected, with some edges
+    # doubled: a parallel edge is never a bridge
+    rng = random.Random(500 + seed)
+    g = random_connected_graph(rng, max_n=25)
+    edges = list(g.edge_list())
+    edges += [edges[rng.randrange(len(edges))] for _ in range(3)]
+    if seed % 3 == 0:
+        edges += [(u + g.n, v + g.n) for u, v in edges[:g.n]]
+    g = build_graph(edges)
+    bridges, components = _bridge_dfs(g)
+    assert bridges == find_bridges(g) == find_bridges_bruteforce(g)
+    assert not any(edges.count(g.endpoints(eid)) > 1 for eid in bridges)
+    assert list(components) == bridge_components_reference(g, bridges)
+    # one more component than bridges exactly when g is connected
+    assert (len(components) == len(bridges) + 1) == g.is_connected()
+    assert g.is_connected() == (seed % 3 != 0)
+
+
+def k33_minus_edge_with_digon():
+    """K3,3 less the edge u0v0, whose ends reach a digon x=y: cubic and
+    connected, with a parallel edge and a claw at every other K3,3 vertex."""
+    k33 = [(u, v) for u in range(3) for v in range(3, 6) if (u, v) != (0, 3)]
+    return build_graph(k33 + [(0, 6), (3, 7), (6, 7), (6, 7)])
+
+
+@pytest.mark.parametrize("edges, error", [
+    ([], NotConnected),
+    ([(0, 1), (1, 2), (0, 2), (3, 4)], NotConnected),      # and not cubic
+    ([(0, 1), (0, 1), (1, 2), (2, 0)], NotCubic),          # and parallel
+    (k33_minus_edge_with_digon().edge_list(), NotSimple),  # and a claw
+], ids=["empty", "disconnected-noncubic", "noncubic-parallel",
+        "parallel-claw"])
+def test_gate_error_order(edges, error):
+    g = build_graph(edges)
+    if error is NotSimple:
+        assert g.is_connected() and is_cubic(g) and find_claw(g) is not None
+    with pytest.raises(error) as caught:
+        require_clawfree_cubic(g)
+    assert type(caught.value) is error
+    if not edges:
+        assert str(caught.value) == "input graph is empty"
+
+
+def test_gate_claw_message_is_find_claw_witness(petersen):
+    # every simple connected cubic graph on up to 8 vertices with a claw,
+    # Petersen, and seeded random cubic graphs on 10-28 vertices
+    rng = random.Random(31)
+    graphs = [g for n in (4, 6, 8)
+              for g in enumerate_cubic_multigraphs(n, two_edge_connected=False)]
+    graphs += [petersen] + [random_cubic_multigraph_2ec(rng, n)
+                            for n in range(10, 30, 2) for _ in range(6)]
+    clawed = [g for g in graphs if g.is_simple() and find_claw(g) is not None]
+    assert len(clawed) >= 20
+    for g in clawed:
+        witness = find_claw(g)
+        with pytest.raises(NotClawFree) as caught:
+            require_clawfree_cubic(g)
+        assert str(caught.value) == \
+            f"claw at {witness.center!r} with leaves {witness.leaves}"

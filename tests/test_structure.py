@@ -15,8 +15,9 @@ from packedge.families import (SubstitutionPlan, enumerate_cubic_multigraphs,
                                gen_leaf7, gen_random_clawfree_cubic, gen_ring,
                                gen_substituted)
 from packedge.graph import MultiGraph, are_isomorphic_small, build_graph
-from packedge.recognize import (find_bridges, find_claw, is_cubic,
-                                is_two_edge_connected)
+from packedge.recognize import (NotConnected, find_bridges, find_claw,
+                                is_cubic, is_two_edge_connected,
+                                require_clawfree_cubic)
 from packedge.structure import (BIG_COMPONENT, DIAMOND_COMPONENT, IS_K4,
                                 K3_COMPONENT, RING_OF_DIAMONDS, SUBSTITUTED,
                                 ClaimViolation, ClassificationFailed,
@@ -154,9 +155,9 @@ def recorded_calls(monkeypatch, name):
     real = getattr(recognize, name)
     calls = []
 
-    def recorded(g):
+    def recorded(g, *rest):
         calls.append(g)
-        return real(g)
+        return real(g, *rest)
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("packedge") and \
                 getattr(mod, name, None) is real:
@@ -251,19 +252,6 @@ def test_detect_ring_substituted_k4_none(k4):
 
 # -- oum decomposition -------------------------------------------------------
 
-def counting_links(monkeypatch):
-    """Record (graph, vertex) for every `_links` call made in structure."""
-    import packedge.structure as structure
-    calls = []
-    real = structure._links
-
-    def counted(g, v):
-        calls.append((g, v))
-        return real(g, v)
-    monkeypatch.setattr(structure, "_links", counted)
-    return calls
-
-
 @pytest.mark.parametrize("make", [
     lambda: gen_ring(5),
     lambda: gen_substituted(SubstitutionPlan(build_graph(
@@ -272,15 +260,15 @@ def counting_links(monkeypatch):
 def test_one_diamond_scan_per_decomposition(monkeypatch, make):
     from packedge.coloring import color_graph
     g = make()
-    calls = counting_links(monkeypatch)
+    calls = recorded_calls(monkeypatch, "_link_table")
     dec = oum_decompose(g)
     # one table of links per decomposition, read by the diamond scan and
     # the triangle partition alike
-    assert calls == [(g, v) for v in g.vertices]
+    assert calls == [g]
     if dec.variant == RING_OF_DIAMONDS:
         assert len(dec.diamonds) == dec.ring_size == 5
-    color_graph(g)                  # decomposes once more, no more
-    assert calls == [(g, v) for v in g.vertices] * 2
+    color_graph(g)                  # decomposes the gate's table, no other
+    assert calls == [g, g]
 
 
 def test_oum_k4(k4):
@@ -398,8 +386,11 @@ def test_bridge_decompose_component_count_matches_bridges():
 
 def test_one_bridge_search_per_color_graph(monkeypatch):
     import packedge.coloring as coloring
-    searched = recorded_calls(monkeypatch, "find_bridges")
+    walked = recorded_calls(monkeypatch, "_bridge_dfs")
+    tables = recorded_calls(monkeypatch, "_link_table")
     cubic = recorded_calls(monkeypatch, "is_cubic")
+    others = [recorded_calls(monkeypatch, name) for name in (
+        "find_bridges", "find_claw")]
     components = []
     hs = []
     real_oum = coloring.oum_decompose
@@ -413,35 +404,37 @@ def test_one_bridge_search_per_color_graph(monkeypatch):
     monkeypatch.setattr(coloring, "oum_decompose", recorded_oum)
     for bridged in (True, False):
         g = gen_random_clawfree_cubic(701, bridged=bridged)
-        del searched[:], cubic[:], components[:], hs[:]
+        for calls in (walked, tables, cubic, components, hs, *others):
+            del calls[:]
         coloring.color_graph(g)
         # every input reaches oum_decompose as a component of its bridge
-        # tree; the input gate searches g once, and no H and no completion
-        # is searched or checked cubic again
+        # tree; the input gate walks g once and builds its links once, and
+        # no H and no completion is searched or checked again
         assert hs and all(components)
-        assert [id(x) for x in searched] == [id(g)]
+        assert [id(x) for x in walked] == [id(g)]
+        assert [id(x) for x in tables] == [id(g)]
         assert [id(x) for x in cubic] == [id(g)]
+        assert others == [[], []]
 
 
 def test_component_shapes_come_from_bridge_decompose(monkeypatch):
     import packedge.coloring as coloring
     g = diamond_path(random.Random(3), 400)
     bd = bridge_decompose(g)
-    links = counting_links(monkeypatch)
+    links = recorded_calls(monkeypatch, "_link_table")
     two_ec = recorded_calls(monkeypatch, "is_two_edge_connected")
     claws = recorded_calls(monkeypatch, "find_claw")
     built = recorded_graphs(monkeypatch)
     coloring.color_graph(g)
-    # the links of g are read once per vertex of each big component (both
-    # leaves), never in a diamond; each leaf's completion is a K4 or a
-    # ring, and no graph is built for it
-    assert links == [(g, v) for verts, kind in zip(bd.vertices, bd.kinds)
-                     if kind == BIG_COMPONENT for v in verts]
+    # the gate's one links table of g is what both big components (the
+    # leaves) read; each leaf's completion is a K4 or a ring, and no graph
+    # is built for it
+    assert links == [g]
     assert bd.kinds.count(BIG_COMPONENT) == 2
     assert built == []
-    # no whole-graph re-check of a completion
+    # no whole-graph re-check of a completion, and no claw search
     assert two_ec == []
-    assert len(claws) == 1 and claws[0] is g
+    assert claws == []
 
 
 def ladder_graphs(seed):
@@ -471,11 +464,15 @@ def test_every_h_is_cubic_and_bridgeless(corpus, monkeypatch):
     assert variants.count(SUBSTITUTED) > 800
 
 
-def test_oum_decompose_rejects_two_disjoint_rings():
+def test_gate_rejects_two_disjoint_rings():
+    # connectivity is the gate's to check: oum_decompose takes a connected
+    # g, and only that tells one ring of diamonds from two
+    from packedge.coloring import color_graph
     ring = gen_ring(3).edge_list()
     g = build_graph(list(ring) + [(u + 12, v + 12) for u, v in ring])
-    with pytest.raises(NotDecomposable):
-        oum_decompose(g)
+    for check in (require_clawfree_cubic, color_graph):
+        with pytest.raises(NotConnected, match="not connected"):
+            check(g)
 
 
 def test_oum_decompose_rejects_string_back_to_its_triangle(leaf7_pair):
