@@ -11,34 +11,36 @@ tree of one big component, is colored root-down in the input's edge ids.
   them uses 3a;
 * any other big component is decomposed into triangles and diamond
   strings over a cubic multigraph H, with its cubic completion applied in
-  H (see `oum_decompose`); a 2-factor of H is lifted to cycles of g, even
-  cycles alternate two matchings, each odd cycle spends a single 3a on one
-  connector, strings take their colors from the color their H-edge would
-  have carried, and everything left (triangle chords and matching edges)
-  is the third matching color;
+  H (see `oum_decompose`); each cycle of a 2-factor of H is walked once,
+  triangle by triangle: even cycles alternate two matchings, each odd
+  cycle spends a single 3a on one connector, a string takes the (pair,
+  pair, rest) colors of the color its H-edge carries, and everything left
+  (triangle chords and the 2-factor's complement) is the third matching
+  color;
 * an odd boundary is patched locally around the dropped triangle (the new
   3a goes on whichever of the two candidate edges is farther from the
   existing 3a edges); K3s take the three matching colors, and each bridge
   takes the color missing at its parent endpoint while each child permutes
   its three matching colors to agree.
 
-Every free choice has one deterministic answer.  Each lifted cycle is
-colored from one start connector, its smallest by canonical key, which
-takes 1a on an even cycle and the single 3a on an odd one; the cycle
-alternates from there.  On an odd component's completion the added edge
-s1b1 moves only its own cycle's start: to s1b1 on an even cycle, to the
-smallest connector an odd number of steps before it on an odd one.  A loop
-leaf, whose completion is K4 or a ring, takes fixed colors that give s1b1
-1a.  A string standing in for the 3a connector takes the 3a at its entry
-end, and the odd-boundary patch follows the farther rule with ties on the
-w-b side.  Nothing is left to retry, so
-`color_graph` checks the finished coloring once with `verify`; a rejection
-is an internal bug and raises `ColoringFailed` with the violations.
+Every free choice has one deterministic answer.  Each cycle is walked
+from one start connector, its smallest by key (a plain edge's id, a
+string's smallest edge id), which takes 1a on an even cycle and the single
+3a on an odd one; the cycle alternates from there.  On an odd component's
+completion the added edge s1b1 moves only its own cycle's start: to s1b1
+on an even cycle, to the smallest key an odd number of steps before it on
+an odd one.  A loop leaf, whose completion is K4 or a ring, takes fixed
+colors that give s1b1 1a.  A string standing in for the 3a connector puts
+the 3a on its attachment at the corner where the cycle leaves a triangle,
+and the odd-boundary patch follows the farther rule with ties on the w-b
+side.  Nothing is left to retry, so `color_graph` checks the finished
+coloring once with `verify`; a rejection is an internal bug and raises
+`ColoringFailed` with the violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import INFINITE, EdgeId, GraphError, MultiGraph, VertexId
@@ -47,7 +49,7 @@ from .recognize import (BridgeSet, Links, NotClawFree, NotConnected, NotCubic,
                         require_clawfree_cubic)  # the errors are re-exported
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, K3_COMPONENT,
                         RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
-                        Diamond, DiamondString, OumDecomposition,
+                        Diamond, EdgeRealization, OumDecomposition,
                         bridge_decompose, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
@@ -59,10 +61,6 @@ ONE_COLORS = (COLOR_1A, COLOR_1B, COLOR_1C)
 ALL_COLORS = ONE_COLORS + (COLOR_3A,)
 
 EdgeColoring = Dict[EdgeId, str]
-
-
-class BadContext(GraphError):
-    """Unknown string-coloring context."""
 
 
 class ColoringFailed(GraphError):
@@ -114,226 +112,91 @@ def _diamonds_coloring(g: MultiGraph, diamonds: Sequence[Diamond],
 
 
 # ---------------------------------------------------------------------------
-# expanded cycles of the substituted decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConnectorSlot:
-    """Realization of one 2-factor H-edge along an expanded cycle, oriented
-    from the exit corner of one triangle to the entry corner of the next."""
-    h_eid: int
-    entry_corner: VertexId          # where the cycle leaves its triangle
-    exit_corner: VertexId           # where it enters the next one
-    plain_eid: Optional[EdgeId] = None
-    string: Optional[DiamondString] = None   # oriented: attach_left == entry_corner
-
-    def canonical_key(self) -> EdgeId:
-        if self.plain_eid is not None:
-            return self.plain_eid
-        return min(self.string.region_edges())
-
-
-@dataclass
-class ExpandedCycle:
-    """Lift of one H-cycle: triangle edge pairs, chords, connector slots.
-
-    Virtual positions run 0..3m-1: position 3t is the entry-to-mid triangle
-    edge of the t-th triangle, 3t+1 the mid-to-exit edge, 3t+2 connector t.
-    """
-    h_vertices: Tuple[int, ...]
-    tri_edges: Tuple[Tuple[EdgeId, EdgeId], ...]
-    chords: Tuple[EdgeId, ...]
-    slots: Tuple[ConnectorSlot, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.h_vertices)
-
-    @property
-    def odd(self) -> bool:
-        return self.m % 2 == 1
-
-
-def _expand_cycle(g: MultiGraph, dec: OumDecomposition,
-                  cycle_eids: Sequence[int],
-                  cycle_vertices: Sequence[int]) -> ExpandedCycle:
-    m = len(cycle_vertices)
-    tri_edges: List[Tuple[EdgeId, EdgeId]] = []
-    chords: List[EdgeId] = []
-    slots: List[ConnectorSlot] = []
-    for t in range(m):
-        hv = cycle_vertices[t]
-        c_in = cycle_eids[(t - 1) % m]
-        c_out = cycle_eids[t]
-        tri = dec.triangles[hv]
-        x_t = tri.corner_for[c_in]
-        y_t = tri.corner_for[c_out]
-        assert x_t != y_t, "cycle enters and leaves a triangle at one corner"
-        mid = tri.third_corner(x_t, y_t)
-        tri_edges.append((g.edge_between(x_t, mid), g.edge_between(mid, y_t)))
-        chords.append(g.edge_between(x_t, y_t))
-    for t in range(m):
-        c_out = cycle_eids[t]
-        real = dec.realizations[c_out]
-        entry = dec.triangles[cycle_vertices[t]].corner_for[c_out]
-        exit_ = dec.triangles[cycle_vertices[(t + 1) % m]].corner_for[c_out]
-        if real.is_string:
-            s = real.string
-            if s.attach_left != entry:
-                s = s.reversed()
-            assert s.attach_left == entry and s.attach_right == exit_
-            slots.append(ConnectorSlot(c_out, entry, exit_, string=s))
-        else:
-            assert {real.corner_a, real.corner_b} == {entry, exit_}
-            slots.append(ConnectorSlot(c_out, entry, exit_,
-                                       plain_eid=real.plain_eid))
-    return ExpandedCycle(tuple(cycle_vertices), tuple(tri_edges),
-                         tuple(chords), tuple(slots))
-
-
-def _virtual_colors(cycle: ExpandedCycle, start: int) -> List[str]:
-    """Colors of the 3m virtual positions of a lifted cycle.
-
-    Connector `start` takes 1a on an even cycle and the 3a on an odd one;
-    from there the cycle alternates, 1b then 1a on an even cycle, 1a then
-    1b on an odd one, so both neighbors of the 3a are matching colors.
-    """
-    total = 3 * cycle.m
-    run = [COLOR_1A, COLOR_1B] * (total // 2)
-    if cycle.odd:
-        run.insert(0, COLOR_3A)
-    p = 3 * start + 2
-    return [run[(i - p) % total] for i in range(total)]
-
-
-def color_cycle(cycle: ExpandedCycle, start: int
-                ) -> Tuple[EdgeColoring, Dict[int, str]]:
-    """Color the real edges of one expanded cycle from connector `start`.
-
-    Returns the partial coloring (triangle edges plus plain connectors; the
-    chords are left to the matching color) and the virtual color of every
-    string-realized connector, keyed by H-edge id.
-    """
-    virtual = _virtual_colors(cycle, start)
-    out: EdgeColoring = {}
-    string_colors: Dict[int, str] = {}
-    for t in range(cycle.m):
-        e_in, e_out = cycle.tri_edges[t]
-        out[e_in] = virtual[3 * t]
-        out[e_out] = virtual[3 * t + 1]
-        slot = cycle.slots[t]
-        if slot.plain_eid is not None:
-            out[slot.plain_eid] = virtual[3 * t + 2]
-        else:
-            string_colors[slot.h_eid] = virtual[3 * t + 2]
-    return out, string_colors
-
-
-# ---------------------------------------------------------------------------
-# diamond strings
-# ---------------------------------------------------------------------------
-
-TYPE_MATCHING = "type1"
-TYPE_CYCLE_1A = "type2.1"
-TYPE_CYCLE_1B = "type2.2"
-TYPE_CYCLE_3A = "type2.3"
-
-
-# (external pair, external pair, rest) per string context
-_STRING_COLORS = {
-    TYPE_MATCHING: (COLOR_1A, COLOR_1B, COLOR_1C),
-    TYPE_CYCLE_1A: (COLOR_1B, COLOR_1C, COLOR_1A),
-    TYPE_CYCLE_1B: (COLOR_1A, COLOR_1C, COLOR_1B),
-    TYPE_CYCLE_3A: (COLOR_1C, COLOR_1A, COLOR_1B),
-}
-
-
-def color_string(g: MultiGraph, string: DiamondString,
-                 context: str) -> EdgeColoring:
-    """Color every edge of a diamond string region by its context.
-
-    type1 replaces a matching edge: external pairs 1a/1b, the rest 1c.
-    type2.1 / type2.2 replace a cycle edge colored 1a / 1b: external pairs
-    get the other two matching colors and the rest inherits the cycle color.
-    type2.3 replaces the cycle's 3a edge: the entry attachment takes the 3a,
-    external pairs get 1c/1a and the rest 1b, so the alternation at both
-    boundary triangles stays proper.
-    """
-    if context not in _STRING_COLORS:
-        raise BadContext(f"unknown string context {context!r}")
-    out = _diamonds_coloring(g, string.diamonds, string.region_edges(),
-                             _STRING_COLORS[context])
-    if context == TYPE_CYCLE_3A:
-        out[string.attach_left_edge] = COLOR_3A
-    return out
-
-
-# ---------------------------------------------------------------------------
 # substituted decompositions
 # ---------------------------------------------------------------------------
 
-def _expand_all(g: MultiGraph, dec: OumDecomposition, tf
-                ) -> List[ExpandedCycle]:
-    return [_expand_cycle(g, dec, eids, verts)
-            for eids, verts in zip(tf.cycles, tf.cycle_vertices)]
+# (external pair, external pair, rest) of a diamond string, by the color its
+# H-edge carries: on a cycle the rest inherits 1a or 1b and the pairs take
+# the other two; the matching's pairs take 1a/1b; a 3a string's rest is 1b
+# and its pairs 1c/1a, so both boundary triangles stay proper
+_STRING_COLORS = {
+    COLOR_1A: (COLOR_1B, COLOR_1C, COLOR_1A),
+    COLOR_1B: (COLOR_1A, COLOR_1C, COLOR_1B),
+    COLOR_1C: (COLOR_1A, COLOR_1B, COLOR_1C),
+    COLOR_3A: (COLOR_1C, COLOR_1A, COLOR_1B),
+}
 
 
-def _start_slot(cycle: ExpandedCycle, required: Sequence[int]) -> int:
-    """The connector a lifted cycle is colored from.
+def _color_h_edge(g: MultiGraph, real: EdgeRealization, color: str,
+                  leaving: Optional[VertexId], out: EdgeColoring) -> None:
+    """Give the realization of one H-edge the `color` the H-edge carries.
 
-    A cycle through the anchor's H-edge (in `required`) starts at the
-    anchor's connector when even; when odd, at the connector of smallest
-    canonical key an odd number of steps before it.  Every other cycle
-    starts at its connector of smallest canonical key.
+    A plain edge takes it; a string takes its `_STRING_COLORS` triple, and a
+    3a string puts its 3a on the attachment at `leaving`, the corner where
+    the cycle leaves the previous triangle.
     """
-    slots = range(cycle.m)
-    anchor_slot = next((t for t, slot in enumerate(cycle.slots)
-                        if slot.h_eid in required), None)
-    if anchor_slot is not None:
-        if not cycle.odd:
-            return anchor_slot
-        slots = [t for t in slots if (anchor_slot - t) % cycle.m % 2]
-    return min(slots, key=lambda t: cycle.slots[t].canonical_key())
+    if not real.is_string:
+        out[real.plain_eid] = color
+        return
+    s = real.string
+    out.update(_diamonds_coloring(g, s.diamonds, s.region_edges(),
+                                  _STRING_COLORS[color]))
+    if color == COLOR_3A:
+        out[s.attach_left_edge if s.attach_left == leaving
+            else s.attach_right_edge] = COLOR_3A
 
 
 def _color_substituted(g: MultiGraph, dec: OumDecomposition,
                        anchor: Optional[EdgeId] = None) -> EdgeColoring:
     """Color a substituted decomposition from a 2-factor of H, forced
-    through the H-edge that realizes `anchor` when given.  Each lifted cycle
-    is colored from its `_start_slot`, so the anchor gets 1a and no edge
-    touching it gets 3a; its strings take their cycle color's context, and
-    the chords and the 2-factor's complement the third matching color."""
+    through the H-edge that realizes `anchor` when given.
+
+    Each H-cycle is walked once from its start connector: the connector,
+    then the next triangle's entry-to-mid and mid-to-exit edges, alternate
+    1a and 1b, after a single leading 3a on an odd cycle, and that
+    triangle's chord takes 1c.  A connector's key is its plain edge id or
+    its string's smallest edge id.  A cycle starts at its smallest key,
+    except through the anchor: an even one starts at the anchor, an odd one
+    at the smallest key an odd number of steps before it, so the anchor gets
+    1a and no edge touching it gets 3a.  The 2-factor's complement takes 1c.
+    """
+    real_of = dec.realizations
     required = ()
     if anchor is not None:
         required = (next(
-            h_eid for h_eid, real in enumerate(dec.realizations)
+            h_eid for h_eid, real in enumerate(real_of)
             if (anchor in real.string.region_edges() if real.is_string
                 else real.plain_eid == anchor)),)
     tf = two_factor_containing(dec.h, required)
     coloring: EdgeColoring = {}
-    for cycle in _expand_all(g, dec, tf):
-        partial, string_colors = color_cycle(cycle,
-                                             _start_slot(cycle, required))
-        coloring.update(partial)
-        for chord in cycle.chords:
-            coloring[chord] = COLOR_1C
-        for slot in cycle.slots:
-            if slot.string is None:
-                continue
-            c = string_colors[slot.h_eid]
-            if c == COLOR_1A:
-                ctx = TYPE_CYCLE_1A
-            elif c == COLOR_1B:
-                ctx = TYPE_CYCLE_1B
-            else:
-                ctx = TYPE_CYCLE_3A
-            coloring.update(color_string(g, slot.string, ctx))
-    for h_eid in tf.complement:
-        real = dec.realizations[h_eid]
-        if real.is_string:
-            coloring.update(color_string(g, real.string, TYPE_MATCHING))
+    for eids, verts in zip(tf.cycles, tf.cycle_vertices):
+        m = len(eids)
+        at = next((t for t, e in enumerate(eids) if e in required), None)
+        if at is not None and not m % 2:
+            start = at
         else:
-            coloring[real.plain_eid] = COLOR_1C
+            keys = [real_of[e].plain_eid if not real_of[e].is_string
+                    else min(real_of[e].string.region_edges()) for e in eids]
+            start = min((t for t in range(m)
+                         if at is None or (at - t) % m % 2),
+                        key=keys.__getitem__)
+        colors = itertools.cycle((COLOR_1A, COLOR_1B))
+        if m % 2:
+            colors = itertools.chain((COLOR_3A,), colors)
+        for step in range(start, start + m):
+            t, nxt = step % m, (step + 1) % m
+            conn = eids[t]
+            leaving = dec.triangles[verts[t]].corner_for[conn]
+            _color_h_edge(g, real_of[conn], next(colors), leaving, coloring)
+            tri = dec.triangles[verts[nxt]]
+            x, y = tri.corner_for[conn], tri.corner_for[eids[nxt]]
+            assert x != y, "cycle enters and leaves a triangle at one corner"
+            mid = tri.third_corner(x, y)
+            coloring[g.edge_between(x, mid)] = next(colors)
+            coloring[g.edge_between(mid, y)] = next(colors)
+            coloring[g.edge_between(x, y)] = COLOR_1C
+    for h_eid in tf.complement:
+        _color_h_edge(g, real_of[h_eid], COLOR_1C, None, coloring)
     return coloring
 
 

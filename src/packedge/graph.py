@@ -145,8 +145,9 @@ class MultiGraph:
         return dist
 
     def is_connected(self) -> bool:
+        """One component; the empty graph has none, so it is not."""
         if self.n <= 1:
-            return True
+            return self.n == 1
         return len(self.vertex_distances(self._vertices[0])) == self.n
 
     def __repr__(self) -> str:

@@ -274,7 +274,6 @@ class Triangle:
     """A substituted triangle; corner_for maps an H-edge id to the corner
     vertex whose outgoing edge realizes that H-edge."""
     vertices: Tuple[VertexId, VertexId, VertexId]
-    edge_ids: Tuple[EdgeId, EdgeId, EdgeId]
     corner_for: Dict[int, VertexId] = field(default_factory=dict)
 
     def third_corner(self, a: VertexId, b: VertexId) -> VertexId:
@@ -434,9 +433,7 @@ def oum_decompose(g: MultiGraph,
 
     tri_sets = _triangle_partition(vertices, links, skip)
     tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
-    triangles = [Triangle(vertices=(a, b, c), edge_ids=(
-        g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
-        for a, b, c in tri_sets]
+    triangles = [Triangle(vertices=tri) for tri in tri_sets]
 
     plain_sb = []       # (g.m, (s1, b1)) when s1b1 is a plain H-edge
     if odd:

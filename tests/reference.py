@@ -8,9 +8,11 @@ from itertools import combinations
 
 from packedge.families import SubstitutionPlan, gen_k4, gen_ring, gen_substituted
 from packedge.graph import INFINITE, MultiGraph, edge_distances_from
+from packedge.matching import two_factor_containing
 from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
 from packedge.structure import (IS_K4, RING_OF_DIAMONDS, _strings_of,
-                                component_boundary, find_diamonds)
+                                component_boundary, find_diamonds,
+                                oum_decompose)
 from packedge.oracle import BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE
 from packedge.verify import BadSpec, PartialColoring, Violation
 
@@ -155,6 +157,39 @@ def color_k4_reference(g):
                       if not set(g.endpoints(e)) & set(g.endpoints(f))})
     return {eid: color for color, pair in zip(("1a", "1b", "1c"), classes)
             for eid in pair}
+
+
+def lifted_cycles(g):
+    """The cycles of the 2-factor of H that `color_graph` walks on a
+    bridgeless substituted g, lifted to g.  Each is (positions, region):
+    the edge ids of its 3m positions in walk order (per H-edge its
+    connector, then the next triangle's entry-to-mid and mid-to-exit edges;
+    a string connector is read at its attachment on the corner the cycle
+    leaves), and every edge of its triangles and connectors."""
+    dec = oum_decompose(g)
+    tf = two_factor_containing(dec.h)
+    out = []
+    for eids, verts in zip(tf.cycles, tf.cycle_vertices):
+        positions, region = [], set()
+        for t, conn in enumerate(eids):
+            real = dec.realizations[conn]
+            if real.is_string:
+                s = real.string
+                leaving = dec.triangles[verts[t]].corner_for[conn]
+                positions.append(s.attach_left_edge if s.attach_left == leaving
+                                 else s.attach_right_edge)
+                region |= s.region_edges()
+            else:
+                positions.append(real.plain_eid)
+            nxt = dec.triangles[verts[(t + 1) % len(eids)]]
+            x = nxt.corner_for[conn]
+            y = nxt.corner_for[eids[(t + 1) % len(eids)]]
+            mid = nxt.third_corner(x, y)
+            positions += [g.edge_between(x, mid), g.edge_between(mid, y)]
+            region |= {g.edge_between(u, v) for u, v in
+                       combinations(nxt.vertices, 2)}
+        out.append((positions, region | set(positions)))
+    return out
 
 
 def check_h(dec):

@@ -113,6 +113,17 @@ def test_recognize_ring_positive(tmp_path, capsys):
     assert "cubic: True\nsimple: True\nclaw-free: True\n" in out
 
 
+def test_recognize_empty_graph_not_connected(tmp_path, capsys):
+    # the gate rejects it as empty; the exit code reads cubic, simple and
+    # claw-free only, which the empty graph is
+    graph_file = tmp_path / "empty.json"
+    graph_file.write_text(write_edge_list(build_graph([])))
+    code, out, _ = run(capsys, "recognize", str(graph_file))
+    assert code == 0
+    assert "vertices: 0\nedges: 0\nconnected: False\n" in out
+    assert "two-edge-connected: False\n" in out
+
+
 @pytest.mark.parametrize("name", PARALLEL_EDGE_INPUTS)
 def test_recognize_parallel_edges_negative(tmp_path, capsys, name):
     graph_file = tmp_path / "g.json"

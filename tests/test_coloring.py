@@ -10,13 +10,10 @@ import packedge.coloring as coloring_mod
 from packedge.coloring import (COLOR_1A, COLOR_1B, COLOR_1C, COLOR_3A,
                                ColoringFailed, NotClawFree, NotConnected,
                                NotCubic, ONE_COLORS, apply_permutation,
-                               color_component, color_cycle, color_graph,
-                               color_string, _color_completion,
+                               color_component, color_graph,
+                               _color_completion, _color_h_edge,
                                _color_substituted, _diamonds_coloring,
-                               _expand_all, _virtual_colors,
-                               _wb_at_least_as_far,
-                               TYPE_MATCHING, TYPE_CYCLE_1A, TYPE_CYCLE_1B,
-                               TYPE_CYCLE_3A, BadContext)
+                               _wb_at_least_as_far)
 from packedge.corpus import CorpusEntry, build_corpus, run_corpus
 from packedge.families import (SubstitutionPlan, gen_big_component,
                                gen_bridged, BridgedPlan, gen_leaf7,
@@ -35,7 +32,7 @@ from conftest import (PARALLEL_EDGE_INPUTS, bushy_tree, decompose_whole,
                       diamond_path, perfbench_workloads,
                       random_connected_graph, whole_boundary)
 from reference import (build_tilde_reference, collect_diamond_strings,
-                       color_k4_reference, edge_distance)
+                       color_k4_reference, edge_distance, lifted_cycles)
 
 # the package's `verify` attribute is the function, not the module
 verify_mod = importlib.import_module("packedge.verify")
@@ -99,93 +96,88 @@ def test_color_ring_class_sizes(k):
 
 # -- cycles --------------------------------------------------------------
 
-def expanded_cycles(g):
-    dec = oum_decompose(g)
-    tf = two_factor_containing(dec.h)
-    return g, dec, tf, _expand_all(g, dec, tf)
+def cycle_colors(g):
+    """`color_graph`'s colors of each lifted 2-factor cycle of a bridgeless
+    substituted g, its 3m positions in walk order."""
+    col = color_graph(g)
+    assert verify(g, col) == []
+    return [[col[e] for e in positions] for positions, _ in lifted_cycles(g)]
+
+
+def alternates(colors):
+    """Whether `colors` alternate 1a and 1b, read as a path."""
+    return all(c in (COLOR_1A, COLOR_1B) for c in colors) and \
+        all(a != b for a, b in zip(colors, colors[1:]))
+
+
+def even_cycle_ok(colors):
+    return len(colors) % 2 == 0 and alternates(colors + colors[:1])
+
+
+def odd_cycle_ok(colors):
+    """One 3a, both neighbors distinct matching colors, and the path from
+    one neighbor round to the other alternates."""
+    if colors.count(COLOR_3A) != 1:
+        return False
+    p = colors.index(COLOR_3A)
+    rest = colors[p + 1:] + colors[:p]
+    return rest[0] != rest[-1] and alternates(rest)
 
 
 def test_even_cycle_alternates(k4):
     g = gen_substituted(SubstitutionPlan(k4))
-    _, _, _, cycles = expanded_cycles(g)
-    assert len(cycles) == 1 and cycles[0].m == 4
-    virtual = _virtual_colors(cycles[0], 0)
-    assert virtual == [COLOR_1A, COLOR_1B] * 6
-    partial, string_colors = color_cycle(cycles[0], 0)
-    assert string_colors == {}
-    assert class_sizes(partial) == {"1a": 6, "1b": 6}
+    (colors,) = cycle_colors(g)
+    assert len(colors) == 3 * 4 and even_cycle_ok(colors)
+    assert colors.count(COLOR_1A) == colors.count(COLOR_1B) == 6
 
 
 def test_odd_cycle_single_anchor():
     g = gen_substituted(SubstitutionPlan(gen_petersen()))
-    _, _, _, cycles = expanded_cycles(g)
-    assert sorted(c.m for c in cycles) == [5, 5]
-    cycle = cycles[0]
-    virtual = _virtual_colors(cycle, 2)
-    assert virtual.count(COLOR_3A) == 1
-    p = virtual.index(COLOR_3A)
-    assert p == 3 * 2 + 2
-    total = len(virtual)
-    # both neighbors of the anchor carry distinct matching colors
-    assert {virtual[(p - 1) % total], virtual[(p + 1) % total]} \
-        == {COLOR_1A, COLOR_1B}
-    # the remaining path alternates
-    for j in range(1, total - 1):
-        a = virtual[(p + j) % total]
-        b = virtual[(p + j + 1) % total]
-        assert a != b and a in (COLOR_1A, COLOR_1B)
+    cycles = cycle_colors(g)
+    assert sorted(len(colors) for colors in cycles) == [15, 15]
+    assert all(odd_cycle_ok(colors) for colors in cycles)
 
 
 # -- strings ---------------------------------------------------------------
 
 def single_string_graph():
-    """Substituted K4 with one length-1 string; returns (g, string)."""
+    """Substituted K4 with one length-1 string; returns (g, realization)."""
     g = gen_substituted(SubstitutionPlan(build_graph(
         [(a, b) for a in range(4) for b in range(a + 1, 4)]), {0: 1}))
-    strings = collect_diamond_strings(g)
-    assert len(strings) == 1 and strings[0].k == 1
-    return g, strings[0]
+    (real,) = [r for r in oum_decompose(g).realizations if r.is_string]
+    assert real.string.k == 1
+    return g, real
 
 
-def test_color_string_type1_counts():
-    g, s = single_string_graph()
-    col = color_string(g, s, TYPE_MATCHING)
-    assert class_sizes(col) == {"1a": 2, "1b": 2, "1c": 3}
+# the H-edge's color, the string's (pair, pair, rest) colors, and for 3a
+# the end of the H-edge whose corner the cycle leaves
+@pytest.mark.parametrize("color,pairs,rest,leaving", [
+    (COLOR_1A, (COLOR_1B, COLOR_1C), COLOR_1A, None),
+    (COLOR_1B, (COLOR_1A, COLOR_1C), COLOR_1B, None),
+    (COLOR_1C, (COLOR_1A, COLOR_1B), COLOR_1C, None),
+    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_a"),
+    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_b"),
+], ids=["1a", "1b", "1c", "3a-corner_a", "3a-corner_b"])
+def test_color_h_edge_string(color, pairs, rest, leaving):
+    g, real = single_string_graph()
+    s = real.string
+    corner = getattr(real, leaving) if leaving else None
+    col = {}
+    _color_h_edge(g, real, color, corner, col)
     assert set(col) == s.region_edges()
-
-
-def test_color_string_type21_counts():
-    g, s = single_string_graph()
-    col = color_string(g, s, TYPE_CYCLE_1A)
-    assert class_sizes(col) == {"1b": 2, "1c": 2, "1a": 3}
-    assert col[s.attach_left_edge] == COLOR_1A
-    assert col[s.attach_right_edge] == COLOR_1A
-    assert col[s.diamonds[0].internal_edge] == COLOR_1A
-
-
-def test_color_string_type22_counts():
-    g, s = single_string_graph()
-    col = color_string(g, s, TYPE_CYCLE_1B)
-    assert class_sizes(col) == {"1a": 2, "1c": 2, "1b": 3}
-
-
-# the id names the 3a's side (the entry end) and the color filling the rest
-@pytest.mark.parametrize("at_entry,rest", [(True, COLOR_1B)])
-def test_color_string_type23(at_entry, rest):
-    g, s = single_string_graph()
-    col = color_string(g, s, TYPE_CYCLE_3A)
-    near, far = s.attach_left_edge, s.attach_right_edge
-    assert at_entry and col[near] == COLOR_3A
-    assert col[far] == rest
     assert col[s.diamonds[0].internal_edge] == rest
-    sizes = class_sizes(col)
-    assert sizes["3a"] == 1 and sizes["1c"] == 2
-
-
-def test_color_string_bad_context():
-    g, s = single_string_graph()
-    with pytest.raises(BadContext):
-        color_string(g, s, "type9")
+    for pair, c in zip(s.diamonds[0].external_pairs(g), pairs):
+        assert [col[eid] for eid in pair] == [c, c]
+    attach = {s.attach_left: s.attach_left_edge,
+              s.attach_right: s.attach_right_edge}
+    if color == COLOR_3A:
+        (far,) = set(attach) - {corner}
+        assert col[attach[corner]] == COLOR_3A and col[attach[far]] == rest
+        assert class_sizes(col) == {"3a": 1, rest: 2, **dict.fromkeys(
+            pairs, 2)}
+    else:
+        assert [col[eid] for eid in attach.values()] == [rest, rest]
+        assert class_sizes(col) == {rest: 3, **dict.fromkeys(pairs, 2)}
 
 
 # -- 2-edge-connected coloring ---------------------------------------------
@@ -537,29 +529,21 @@ def test_degree2_edges_one_colored_everywhere():
 
 def test_sub_dipole_cycle_alternates_six(dipole):
     g = gen_substituted(SubstitutionPlan(dipole))
-    _, _, _, cycles = expanded_cycles(g)
-    assert len(cycles) == 1 and cycles[0].m == 2
-    assert _virtual_colors(cycles[0], 0) == [COLOR_1A, COLOR_1B] * 3
+    (colors,) = cycle_colors(g)
+    assert len(colors) == 6 and even_cycle_ok(colors)
 
 
-def test_one_3a_per_odd_cycle_none_per_even():
-    g = gen_substituted(SubstitutionPlan(gen_petersen(), {0: 1}))
-    dec = oum_decompose(g)
-    tf = two_factor_containing(dec.h)
-    cycles = _expand_all(g, dec, tf)
-    col = color_graph(g)
-    assert verify(g, col) == []
-    for cycle in cycles:
-        region = set()
-        for t in range(cycle.m):
-            region.update(cycle.tri_edges[t])
-            slot = cycle.slots[t]
-            if slot.plain_eid is not None:
-                region.add(slot.plain_eid)
-            else:
-                region.update(slot.string.region_edges())
-        threes = sum(1 for e in region if col[e] == COLOR_3A)
-        assert threes == (1 if cycle.odd else 0)
+def test_one_3a_per_odd_cycle_none_per_even(k4):
+    # the Petersen graph's 2-factor is two 5-cycles, K4's one 4-cycle
+    for h, strings in ((gen_petersen(), {0: 1}), (k4, {0: 1, 4: 2})):
+        g = gen_substituted(SubstitutionPlan(h, strings))
+        col = color_graph(g)
+        assert verify(g, col) == []
+        for positions, region in lifted_cycles(g):
+            colors = [col[e] for e in positions]
+            odd = len(positions) // 3 % 2
+            assert (odd_cycle_ok if odd else even_cycle_ok)(colors)
+            assert sum(1 for e in region if col[e] == COLOR_3A) == odd
 
 
 def test_diamond_strings_vertex_disjoint(k4):

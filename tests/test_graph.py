@@ -28,6 +28,14 @@ def test_build_empty():
     assert g.n == 0 and g.m == 0
 
 
+def test_is_connected_counts_components():
+    # the empty graph has no component, one vertex or K2 has one
+    assert not build_graph([]).is_connected()
+    assert build_graph([], vertices=["a"]).is_connected()
+    assert build_graph([("a", "b")]).is_connected()
+    assert not build_graph([("a", "b")], vertices=["c"]).is_connected()
+
+
 def test_build_triangle():
     g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
     assert g.n == 3 and g.m == 3

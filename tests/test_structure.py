@@ -758,8 +758,8 @@ def decomposition_summary(dec, eid):
             eid(s.attach_left_edge), s.attach_right,
             eid(s.attach_right_edge))))
     return (dec.variant, dec.h.vertices, dec.h.edge_list(),
-            [(t.vertices, tuple(map(eid, t.edge_ids)), t.corner_for)
-             for t in dec.triangles], realizations)
+            [(t.vertices, t.corner_for) for t in dec.triangles],
+            realizations)
 
 
 def test_tilde_always_clawfree_cubic_2ec():
