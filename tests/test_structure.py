@@ -794,6 +794,45 @@ def test_tilde_always_clawfree_cubic_2ec():
                                                      "strings"))
 
 
+def decomposition_record(dec):
+    """A decomposition as plain data: the variant, H's edges, each
+    triangle's corners by H-edge, and each realization as (diamond
+    internals, connectors, attach_left, attach_left_edge, attach_right,
+    attach_right_edge), a plain edge being a string of no diamonds."""
+    if dec.variant != SUBSTITUTED:
+        return dec.variant, dec.ring_size, [d.internal for d in dec.diamonds]
+    realizations = []
+    for r in dec.realizations:
+        s = r.string
+        realizations.append((
+            tuple(d.internal for d in s.diamonds), s.connectors,
+            s.attach_left, s.attach_left_edge, s.attach_right,
+            s.attach_right_edge) if s else
+            ((), (), r.corner_a, r.plain_eid, r.corner_b, r.plain_eid))
+    return (dec.variant, dec.h.edge_list(),
+            [sorted(t.corner_for.items()) for t in dec.triangles],
+            realizations)
+
+
+# sha256 of `decomposition_record` over every big component of the corpus
+# and of `bridged_inputs()`, in that order, as first computed when strings
+# were grouped, oriented and reversed in layers of their own
+DECOMPOSITIONS_SHA256 = \
+    "f22601c2c8b726dacc3d056b21f707ab5de980e3a1f1e08f3b02075f70b51a17"
+
+
+def test_decompositions_pinned(corpus):
+    digest = hashlib.sha256()
+    for g in itertools.chain((e.graph for e in corpus), bridged_inputs()):
+        bd = bridge_decompose(g)
+        for i, kind in enumerate(bd.kinds):
+            if kind == BIG_COMPONENT:
+                digest.update(repr(decomposition_record(oum_decompose(
+                    g, bd.vertices[i], bd.edge_maps[i],
+                    bd.boundaries[i]))).encode())
+    assert digest.hexdigest() == DECOMPOSITIONS_SHA256
+
+
 # sha256 of `write_coloring(g, color_graph(g))` over the hubs, in
 # HUB_CHAINS order, as first computed when each odd completion was built
 # as a graph of its own
