@@ -271,7 +271,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
+        # bad input, or a file that cannot be read or written as UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

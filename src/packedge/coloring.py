@@ -49,7 +49,7 @@ from .recognize import (BridgeSet, Links, NotClawFree, NotConnected, NotCubic,
                         require_clawfree_cubic)  # the errors are re-exported
 from .structure import (BIG_COMPONENT, DIAMOND_COMPONENT, K3_COMPONENT,
                         RING_OF_DIAMONDS, SUBSTITUTED, ComponentBoundary,
-                        Diamond, EdgeRealization, OumDecomposition,
+                        Diamond, DiamondString, OumDecomposition,
                         bridge_decompose, oum_decompose)
 from .verify import DEFAULT_SPEC, Violation, verify
 
@@ -118,7 +118,8 @@ def _diamonds_coloring(g: MultiGraph, diamonds: Sequence[Diamond],
 # (external pair, external pair, rest) of a diamond string, by the color its
 # H-edge carries: on a cycle the rest inherits 1a or 1b and the pairs take
 # the other two; the matching's pairs take 1a/1b; a 3a string's rest is 1b
-# and its pairs 1c/1a, so both boundary triangles stay proper
+# and its pairs 1c/1a, so both boundary triangles stay proper.  A plain
+# edge, a string of no diamonds, is all rest: it takes the color itself
 _STRING_COLORS = {
     COLOR_1A: (COLOR_1B, COLOR_1C, COLOR_1A),
     COLOR_1B: (COLOR_1A, COLOR_1C, COLOR_1B),
@@ -127,18 +128,13 @@ _STRING_COLORS = {
 }
 
 
-def _color_h_edge(g: MultiGraph, real: EdgeRealization, color: str,
+def _color_h_edge(g: MultiGraph, s: DiamondString, color: str,
                   leaving: Optional[VertexId], out: EdgeColoring) -> None:
-    """Give the realization of one H-edge the `color` the H-edge carries.
-
-    A plain edge takes it; a string takes its `_STRING_COLORS` triple, and a
-    3a string puts its 3a on the attachment at `leaving`, the corner where
-    the cycle leaves the previous triangle.
+    """Give the string realizing one H-edge the `_STRING_COLORS` triple of
+    the `color` the H-edge carries, so a plain edge takes that color; a 3a
+    string puts its 3a on the attachment at `leaving`, the corner where the
+    cycle leaves the previous triangle.
     """
-    if not real.is_string:
-        out[real.plain_eid] = color
-        return
-    s = real.string
     out.update(_diamonds_coloring(g, s.diamonds, s.region_edges(),
                                   _STRING_COLORS[color]))
     if color == COLOR_3A:
@@ -163,10 +159,8 @@ def _color_substituted(g: MultiGraph, dec: OumDecomposition,
     real_of = dec.realizations
     required = ()
     if anchor is not None:
-        required = (next(
-            h_eid for h_eid, real in enumerate(real_of)
-            if (anchor in real.string.region_edges() if real.is_string
-                else real.plain_eid == anchor)),)
+        required = (next(h_eid for h_eid, s in enumerate(real_of)
+                         if anchor in s.region_edges()),)
     tf = two_factor_containing(dec.h, required)
     coloring: EdgeColoring = {}
     for eids, verts in zip(tf.cycles, tf.cycle_vertices):
@@ -175,8 +169,7 @@ def _color_substituted(g: MultiGraph, dec: OumDecomposition,
         if at is not None and not m % 2:
             start = at
         else:
-            keys = [real_of[e].plain_eid if not real_of[e].is_string
-                    else min(real_of[e].string.region_edges()) for e in eids]
+            keys = [min(real_of[e].region_edges()) for e in eids]
             start = min((t for t in range(m)
                          if at is None or (at - t) % m % 2),
                         key=keys.__getitem__)
@@ -268,7 +261,7 @@ def color_component(g: MultiGraph, bridges: BridgeSet,
     locally; 3a goes to whichever of w1b1 / s1u1 is farther from the 3a
     edges already present.
     """
-    dec = oum_decompose(g, vertices, edge_ids, boundary, links)
+    dec = oum_decompose(g, vertices, boundary, links)
     odd = boundary.r % 2
     out = {eid: c for eid, c in _color_completion(
         g, dec, edge_ids, g.m if odd else None).items() if eid < g.m}

@@ -15,7 +15,8 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .graph import (EdgeId, GraphError, MultiGraph, VertexId,
-                    are_isomorphic_small, build_graph, relabel_to_ints)
+                    _multiplicity_map, are_isomorphic_small, build_graph,
+                    relabel_to_ints)
 from .recognize import (find_bridges, is_cubic, is_two_edge_connected,
                         require_clawfree_cubic)
 from .structure import component_boundary
@@ -178,7 +179,7 @@ def gen_big_component(chain_lengths: Tuple[int, ...]) -> MultiGraph:
             edges += [(x, z), (x, w), (y, z), (y, w), (z, w), (prev, y)]
             prev = x
         edges.append((prev, tri[(j + 1) % r][2]))   # into w of next triangle
-    out, mapping = relabel_to_ints(build_graph(edges))
+    out, _ = relabel_to_ints(build_graph(edges))
     # raises if the boundary claims fail
     degree2 = [v for v in out.vertices if out.degree(v) == 2]
     boundary = component_boundary(out, frozenset(), degree2)
@@ -410,10 +411,7 @@ def _triangle_count(g: MultiGraph) -> int:
 
 
 def _iso_fingerprint(g: MultiGraph) -> Tuple:
-    mult: Dict[frozenset, int] = {}
-    for u, v in g.edge_list():
-        key = frozenset((u, v))
-        mult[key] = mult.get(key, 0) + 1
+    mult = _multiplicity_map(g)
     codes = []
     for v in g.vertices:
         incident_mult = sorted(mult[frozenset((v, u))]

@@ -30,7 +30,8 @@ class MalformedGraph6(GraphError):
 class MalformedDocument(GraphError):
     """JSON text that is not a graph or coloring document: bad JSON, not an
     object, a missing key, an edge record other than [id, u, v], edge ids
-    other than 0..m-1, or endpoints that cannot name vertices."""
+    other than 0..m-1, endpoints that cannot name vertices, or an
+    assignment label that is not a string."""
 
 
 def _g6_byte(value: int, offset: int) -> int:
@@ -190,8 +191,10 @@ def parse_coloring(text: str) -> Tuple[MultiGraph, Dict[EdgeId, str]]:
     doc = _load_json(text)
     g = graph_from_document(doc)
     assignment = _field(doc, "assignment")
-    if not isinstance(assignment, dict):
-        raise MalformedDocument("assignment must be a JSON object")
+    if not isinstance(assignment, dict) or not all(
+            isinstance(label, str) for label in assignment.values()):
+        raise MalformedDocument(
+            "assignment must be a JSON object of label strings")
     try:
         return g, {int(k): v for k, v in assignment.items()}
     except ValueError:

@@ -3,15 +3,17 @@
 Two structures are computed here.  For 2-edge-connected inputs: the
 triangle-and-diamond-string decomposition (the graph is K4, a ring of
 diamonds, or a cubic multigraph H with every vertex blown up into a triangle
-and some edges realized as strings of diamonds).  It reads each vertex's
-local shape from the input gate's table of links: in a simple claw-free
-cubic graph, the number of edges among a vertex's three neighbours is 1 on
-exactly one triangle, 2 inside a diamond, and 3 only in K4.  For inputs
-with bridges: the bridge tree, whose components the gate's DFS finds, each
-typed once as a K3, a diamond or a big component; and boundary data for
-the degree-2 vertices of a big component.  The first decomposition, read
-from a big component's part of g, also gives the component's cubic
-completion, as an edit of its H.
+and every edge realized as a string of diamonds, a plain edge being a
+string of none).  It reads each vertex's local shape from the input gate's
+table of links: in a simple claw-free cubic graph, the number of edges
+among a vertex's three neighbours is 1 on exactly one triangle, 2 inside a
+diamond, and 3 only in K4.  H is then read by one walk per H-edge, from a
+triangle corner through the diamonds of its string to the far corner.  For
+inputs with bridges: the bridge tree, whose components the gate's DFS
+finds, each typed once as a K3, a diamond or a big component; and boundary
+data for the degree-2 vertices of a big component.  The first
+decomposition, read from a big component's part of g, also gives the
+component's cubic completion, as an edit of its H.
 
 Every structural fact the later coloring stages rely on is asserted here and
 surfaced as an error when violated, so a bad input fails loudly at the
@@ -21,7 +23,7 @@ decomposition stage rather than producing a wrong coloring.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
                     Tuple)
@@ -116,11 +118,13 @@ def find_diamonds(g: MultiGraph, vertices: Optional[Iterable[VertexId]] = None,
 
 @dataclass(frozen=True)
 class DiamondString:
-    """Maximal chain of diamonds, oriented from attach_left to attach_right.
+    """The realization of one H-edge: a chain of k >= 0 diamonds, oriented
+    from attach_left to attach_right.
 
     ``connectors[i]`` joins diamonds i and i+1.  The attachment edges join
-    the boundary vertices (which are not part of the string) to the first
-    and last diamond.
+    the triangle corners at the ends (which are not part of the string) to
+    the first and last diamond.  A plain edge is the string of no diamonds,
+    both of whose attachment edges are that edge.
     """
     diamonds: Tuple[Diamond, ...]
     connectors: Tuple[EdgeId, ...]
@@ -133,13 +137,6 @@ class DiamondString:
     def k(self) -> int:
         return len(self.diamonds)
 
-    @property
-    def vertices(self) -> FrozenSet[VertexId]:
-        out: Set[VertexId] = set()
-        for d in self.diamonds:
-            out |= d.vertices
-        return frozenset(out)
-
     def region_edges(self) -> FrozenSet[EdgeId]:
         """Every edge this string is responsible for coloring."""
         out = {self.attach_left_edge, self.attach_right_edge}
@@ -147,122 +144,6 @@ class DiamondString:
         for d in self.diamonds:
             out.update(d.edges)
         return frozenset(out)
-
-    def reversed(self) -> "DiamondString":
-        return DiamondString(
-            diamonds=tuple(reversed(self.diamonds)),
-            connectors=tuple(reversed(self.connectors)),
-            attach_left=self.attach_right,
-            attach_left_edge=self.attach_right_edge,
-            attach_right=self.attach_left,
-            attach_right_edge=self.attach_left_edge)
-
-
-def _external_exit(g: MultiGraph, d: Diamond, x: VertexId
-                   ) -> Tuple[EdgeId, VertexId]:
-    """The single edge leaving the diamond at external vertex x."""
-    outs = [(eid, u) for eid, u in g.incident(x) if eid not in d.edges]
-    if len(outs) != 1:
-        raise NotDecomposable(
-            f"external vertex {x!r} has {len(outs)} edges leaving its diamond")
-    return outs[0]
-
-
-def _strings_of(g: MultiGraph, diamonds: List[Diamond]
-                ) -> Optional[List[DiamondString]]:
-    """Group the diamonds of a connected g into maximal strings, or None if
-    they form a ring: k >= 2 disjoint diamonds on all 4k vertices of g,
-    every external's outside edge reaching another diamond.
-
-    Raises NotDecomposable if diamonds overlap or chain into a closed cycle
-    that is not such a ring.
-    """
-    owner: Dict[VertexId, int] = {}
-    for i, d in enumerate(diamonds):
-        for v in d.vertices:
-            if v in owner:
-                raise NotDecomposable(f"vertex {v!r} lies in two diamonds")
-            owner[v] = i
-
-    # neighbor diamonds via the unique outside edge at each external vertex
-    links: Dict[int, List[Tuple[EdgeId, VertexId, VertexId, Optional[int]]]] = {}
-    for i, d in enumerate(diamonds):
-        entries = []
-        for x in d.external:
-            eid, u = _external_exit(g, d, x)
-            entries.append((eid, x, u, owner.get(u)))
-        links[i] = entries
-    if len(diamonds) >= 2 and 4 * len(diamonds) == g.n and all(
-            o not in (None, i) for i, entries in links.items()
-            for (_, _, _, o) in entries):
-        return None
-
-    strings: List[DiamondString] = []
-    used: Set[int] = set()
-    for i, d in enumerate(diamonds):
-        if i in used:
-            continue
-        neighbor_count = sum(1 for (_, _, _, o) in links[i] if o is not None)
-        if neighbor_count == 2:
-            continue  # interior of some string; reached from an end
-        # walk the chain starting at this end diamond
-        chain = [i]
-        used.add(i)
-        prev = None
-        cur = i
-        while True:
-            nxt = [o for (_, _, _, o) in links[cur]
-                   if o is not None and o != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if cur in used:
-                raise NotDecomposable("diamonds chain into a closed cycle")
-            used.add(cur)
-            chain.append(cur)
-        strings.append(_orient_string(g, diamonds, links, chain))
-    if len(used) != len(diamonds):
-        raise NotDecomposable("diamonds chain into a closed cycle")
-    return strings
-
-
-def _orient_string(g, diamonds, links, chain) -> DiamondString:
-    first, last = chain[0], chain[-1]
-    if len(chain) == 1:
-        ends = [(eid, x, u) for (eid, x, u, o) in links[first] if o is None]
-        if len(ends) != 2:
-            raise NotDecomposable("lone diamond without two free externals")
-        ends.sort(key=lambda t: t[2])
-        left, right = ends
-    else:
-        lefts = [(eid, x, u) for (eid, x, u, o) in links[first] if o is None]
-        rights = [(eid, x, u) for (eid, x, u, o) in links[last] if o is None]
-        if len(lefts) != 1 or len(rights) != 1:
-            raise NotDecomposable("string end diamond without a free external")
-        left, right = lefts[0], rights[0]
-        if right[2] < left[2]:  # deterministic orientation: smaller attach left
-            chain = list(reversed(chain))
-            first, last = last, first
-            left, right = right, left
-
-    ordered = [diamonds[i] for i in chain]
-    connectors: List[EdgeId] = []
-    facing = left[1]
-    for pos, i in enumerate(chain):
-        d = diamonds[i]
-        other = next(x for x in d.external if x != facing)
-        if pos + 1 < len(chain):
-            eid, u = _external_exit(g, d, other)
-            connectors.append(eid)
-            nxt = diamonds[chain[pos + 1]]
-            if u not in nxt.external:
-                raise NotDecomposable("connector does not reach the next "
-                                      "diamond's external vertex")
-            facing = u
-    return DiamondString(
-        diamonds=tuple(ordered), connectors=tuple(connectors),
-        attach_left=left[2], attach_left_edge=left[0],
-        attach_right=right[2], attach_right_edge=right[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,38 +162,20 @@ class Triangle:
 
 
 @dataclass
-class EdgeRealization:
-    """How one H-edge appears in G: a plain edge or a string of diamonds.
-
-    corner_a lies in the triangle of the H-edge's first endpoint and
-    corner_b in the second; a string realization is oriented so that
-    attach_left == corner_a.
-    """
-    corner_a: VertexId
-    corner_b: VertexId
-    plain_eid: Optional[EdgeId] = None
-    string: Optional[DiamondString] = None
-
-    @property
-    def is_string(self) -> bool:
-        return self.string is not None
-
-
-@dataclass
 class OumDecomposition:
     variant: str
     ring_size: Optional[int] = None
     h: Optional[MultiGraph] = None
     triangles: Optional[Tuple[Triangle, ...]] = None
-    realizations: Optional[Tuple[EdgeRealization, ...]] = None
+    # per H-edge, its string oriented from its corner in the smaller triangle
+    realizations: Optional[Tuple[DiamondString, ...]] = None
     # K4 and loop leaves: their one diamond, or a ring's diamonds
     diamonds: Optional[Tuple[Diamond, ...]] = None
 
     def string_lengths(self) -> Tuple[int, ...]:
         if self.variant != SUBSTITUTED:
             return ()
-        return tuple(sorted(r.string.k for r in self.realizations
-                            if r.is_string))
+        return tuple(sorted(s.k for s in self.realizations if s.k))
 
 
 def _triangle_partition(vertices: Iterable[VertexId], links: Links,
@@ -336,75 +199,55 @@ def _triangle_partition(vertices: Iterable[VertexId], links: Links,
     return sorted(set(tri_of.values()))
 
 
-def _leaving(strings: List[DiamondString], corner: VertexId
-             ) -> Optional[DiamondString]:
-    """The string attached at `corner`, oriented to leave it, or None."""
-    s = next((s for s in strings
-              if corner in (s.attach_left, s.attach_right)), None)
-    return s if s is None or s.attach_left == corner else s.reversed()
-
-
-def _joined(at_u: Optional[DiamondString], sb_eid: EdgeId,
-            at_w: Optional[DiamondString], s1: VertexId, b1: VertexId
-            ) -> DiamondString:
-    """The string through s1b1 made of the H-edges at u1 and w1, each a
-    string leaving its corner or None for a plain edge, not both None."""
-    if at_u is None:
-        return replace(at_w, attach_left=s1, attach_left_edge=sb_eid)
-    at_u = at_u.reversed()
-    if at_w is None:
-        return replace(at_u, attach_right=b1, attach_right_edge=sb_eid)
-    return replace(at_u, diamonds=at_u.diamonds + at_w.diamonds,
-                   connectors=at_u.connectors + (sb_eid,) + at_w.connectors,
-                   attach_right=at_w.attach_right,
-                   attach_right_edge=at_w.attach_right_edge)
-
-
 def oum_decompose(g: MultiGraph,
                   vertices: Optional[Sequence[VertexId]] = None,
-                  edge_ids: Optional[Sequence[EdgeId]] = None,
                   boundary: Optional[ComponentBoundary] = None,
                   links: Optional[Links] = None) -> OumDecomposition:
     """Decompose a 2-edge-connected simple claw-free cubic graph g, or the
-    cubic completion of the big component of g with the sorted `vertices`,
-    the `edge_ids` and the `boundary` that `bridge_decompose` holds.
+    cubic completion of the big component of g with the sorted `vertices`
+    and the `boundary` that `bridge_decompose` holds.
 
     K4 (one diamond plus the edge joining its externals) and rings of
     diamonds are reported as their own variants with their `diamonds`;
     anything else is expressed as a cubic multigraph H with every vertex
-    substituted by a triangle and some H-edges realized as strings of
-    diamonds.  The diamonds and the triangles are read from the gate's
-    table of `links` in g, built here when not given: every vertex outside
-    the strings lies on exactly one triangle.  H's edges are the plain
-    edges between two triangles, then one edge per string, ordered by
-    (smaller triangle, larger triangle, plain before string, edge id or the
-    smallest internal vertex of the string's two end diamonds).
+    substituted by a triangle and every H-edge realized as a string of
+    diamonds, a plain edge being a string of none.  The diamonds and the
+    triangles are read from the gate's table of `links` in g, built here
+    when not given: every vertex outside the diamonds lies on exactly one
+    triangle.  Each H-edge is then read by one walk: from each triangle
+    corner in turn, along the edge leaving its triangle and, while that
+    reaches a diamond's external, across the diamond and out at its other
+    external, until a corner is reached.  A corner that ended an earlier
+    walk is not walked again, so each H-edge is walked, and its string
+    oriented, from its corner in the smaller triangle.  H's edges are
+    ordered by (smaller triangle, larger triangle, plain before string,
+    edge id or the smallest internal vertex of the string's two end
+    diamonds).  With no triangle, g is a ring, or the completion a K4 (one
+    diamond) or a ring.
 
-    A component is completed in H, with no graph built.  Even boundary:
-    plain H-edges v1v2, v3v4, ....  Odd: v1's triangle is dropped and its
-    H-edges at u1 and w1 become one through s1b1, a plain edge, a string's
-    end attachment or the connector of two strings; one string at both
-    corners leaves a K4 (one diamond) or a ring.  Then v2v3, v4v5, ....
-    Added edges take ids g.m, g.m + 1, ...: s1b1 first, then the pairs.
+    A component is completed in H, with no graph built: its added edges,
+    ids g.m, g.m + 1, ..., replace the edge that leaves a vertex's triangle
+    or diamond in the walk.  Even boundary: v1v2, v3v4, ....  Odd: v1's
+    triangle is dropped, s1b1 (id g.m) joins the H-edges at u1 and w1 into
+    one, and then v2v3, v4v5, ....
 
     The precondition is not checked here: `require_clawfree_cubic` checks g,
     connectivity included, which tells a ring of diamonds from strings, and
     `component_boundary` checks the boundary.  Nor is H re-checked.  It is
     cubic: the corner check gives each triangle one H-edge per corner.  It
-    has no loops: a string that attaches twice to one triangle raises
-    NotDecomposable, and an s1b1 that would be a loop raises
-    ClaimViolation("sb-triangle-free").  It is bridgeless: a bridge of the
-    component's H would make its plain edge, or each attachment edge of its
-    string, a bridge of the component; adding pairs makes no bridge, nor
+    has no loops: a walk that returns to its own triangle raises
+    NotDecomposable, or ClaimViolation("sb-triangle-free") through s1b1.
+    It is bridgeless: a bridge of the component's H would make each edge of
+    its walk a bridge of the component; adding pairs makes no bridge, nor
     does joining the H-edges at u1 and w1 (each a bridge if the joined edge
     were).  An s1 or b1 off the H-edge at u1 or w1 raises NotDecomposable,
     as may input outside the precondition.
     """
-    edges = g.edge_list()
     if g.n == 4 and g.m == 6 and g.is_simple():
         # K4, the one simple graph with 4 vertices and 6 edges.  Its
         # internal edge is the smaller of the opposite pair with the largest
         # smaller id, so that pair's perfect matching is the last by ids
+        edges = g.edge_list()
         internal_edge = max(p for p in combinations(g.edge_ids, 2)
                             if not set(edges[p[0]]) & set(edges[p[1]]))[0]
         z, w = sorted(edges[internal_edge])
@@ -413,90 +256,101 @@ def oum_decompose(g: MultiGraph,
             internal_edge, frozenset(g.incident_edges(z)
                                      + g.incident_edges(w))),))
     if vertices is None:
-        vertices, edge_ids = g.vertices, g.edge_ids
+        vertices = g.vertices
     links = _link_table(g) if links is None else links
     diamonds = find_diamonds(g, vertices, links)
-    strings = _strings_of(g, diamonds)
-    if strings is None:
-        return OumDecomposition(variant=RING_OF_DIAMONDS,
-                                ring_size=len(diamonds),
-                                diamonds=tuple(diamonds))
-    skip: Set[VertexId] = set()
-    for s in strings:
-        skip |= s.vertices
+    skip = set(chain.from_iterable(d.vertices for d in diamonds))
+    if len(skip) != 4 * len(diamonds):
+        raise NotDecomposable("two diamonds share a vertex")
+    # each external's diamond and the diamond's other external
+    across: Dict[VertexId, Tuple[int, VertexId]] = {}
+    for i, d in enumerate(diamonds):
+        x, y = d.external
+        across[x], across[y] = (i, y), (i, x)
+    # the completion's added edges, by end vertex: each edge and its other end
     deg2 = boundary.degree2 if boundary else ()
     odd = len(deg2) % 2
+    added: Dict[VertexId, Tuple[EdgeId, VertexId]] = {}
+    for eid, (a, b) in enumerate(zip(deg2[odd::2], deg2[odd + 1::2]),
+                                 g.m + odd):
+        added[a], added[b] = (eid, b), (eid, a)
     if odd:
         u1, w1 = boundary.u[0], boundary.w[0]
         s1, b1 = boundary.s[0], boundary.b[0]
+        added[s1], added[b1] = (g.m, b1), (g.m, s1)
         skip |= {deg2[0], u1, w1}
 
     tri_sets = _triangle_partition(vertices, links, skip)
     tri_index = {v: ti for ti, tri in enumerate(tri_sets) for v in tri}
-    triangles = [Triangle(vertices=tri) for tri in tri_sets]
-
-    plain_sb = []       # (g.m, (s1, b1)) when s1b1 is a plain H-edge
     if odd:
-        at_u, at_w = _leaving(strings, u1), _leaving(strings, w1)
-        for corner, ext, s in ((u1, s1, at_u), (w1, b1, at_w)):
-            if not (g.has_edge(corner, ext) and (
-                    ext in s.diamonds[0].external if s else ext in tri_index)):
+        for corner, ext in ((u1, s1), (w1, b1)):
+            if not (g.has_edge(corner, ext)
+                    and (ext in across or ext in tri_index)):
                 raise NotDecomposable(
                     f"the H-edge at {corner!r} does not reach {ext!r}")
-        if at_u is not None and at_u.attach_right == w1:
-            if at_u.k == 1:
-                return OumDecomposition(variant=IS_K4,
-                                        diamonds=tuple(diamonds))
-            return OumDecomposition(variant=RING_OF_DIAMONDS,
-                                    ring_size=at_u.k,
-                                    diamonds=tuple(diamonds))
-        if at_u is None and at_w is None:
-            ends = (s1, b1)
-            plain_sb.append((g.m, ends))
-        else:
-            strings = [s for s in strings
-                       if not {s.attach_left, s.attach_right} & {u1, w1}]
-            strings.append(_joined(at_u, g.m, at_w, s1, b1))
-            ends = (strings[-1].attach_left, strings[-1].attach_right)
-        if tri_index[ends[0]] == tri_index[ends[1]]:
-            raise ClaimViolation("sb-triangle-free", (s1, b1))
+    if not tri_sets:
+        # a ring, or a loop leaf whose string at u1 returns at w1
+        if len(diamonds) == 1:
+            return OumDecomposition(variant=IS_K4, diamonds=tuple(diamonds))
+        return OumDecomposition(variant=RING_OF_DIAMONDS,
+                                ring_size=len(diamonds),
+                                diamonds=tuple(diamonds))
+
+    def leave(v: VertexId, group: Tuple[VertexId, ...]
+              ) -> Tuple[EdgeId, VertexId]:
+        """The edge leaving v's triangle, or the diamond with internal
+        pair `group`, and its other end."""
+        if v in added:
+            return added[v]
+        out = [(eid, u) for eid, u in g.incident(v) if u not in group]
+        if len(out) != 1:
+            raise NotDecomposable(f"vertex {v!r} has {len(out)} edges "
+                                  "leaving its triangle or diamond")
+        return out[0]
 
     # H's edges: (smaller triangle, larger triangle, is string, edge id or
-    # end-diamond vertex, one end, other end, string)
-    inter = []
-    for eid, (u, v) in chain(
-            zip(edge_ids, map(edges.__getitem__, edge_ids)), plain_sb,
-            enumerate(zip(deg2[odd::2], deg2[odd + 1::2]), g.m + odd)):
-        if u in tri_index and v in tri_index and tri_index[u] != tri_index[v]:
-            tu, tv = sorted((tri_index[u], tri_index[v]))
-            inter.append((tu, tv, False, eid, u, v, None))
-    for s in strings:
-        tu, tv = sorted((tri_index[s.attach_left], tri_index[s.attach_right]))
-        if tu == tv:
-            raise NotDecomposable(
-                "a diamond string attaches twice to one triangle")
-        inter.append((tu, tv, True, min(s.diamonds[0].internal[0],
-                                        s.diamonds[-1].internal[0]),
-                      s.attach_left, s.attach_right, s))
-    inter.sort()
-    h_pairs: List[Tuple[int, int]] = []
-    realizations: List[EdgeRealization] = []
-    for tu, tv, is_string, payload, u, v, s in inter:
-        corner_a, corner_b = (u, v) if tri_index[u] == tu else (v, u)
-        if is_string:
-            if s.attach_left != corner_a:
-                s = s.reversed()
-            real = EdgeRealization(corner_a, corner_b, string=s)
-        else:
-            real = EdgeRealization(corner_a, corner_b, plain_eid=payload)
-        h_eid = len(h_pairs)
-        h_pairs.append((tu, tv))
-        realizations.append(real)
-        triangles[tu].corner_for[h_eid] = corner_a
-        triangles[tv].corner_for[h_eid] = corner_b
+    # end-diamond vertex, string)
+    walks = []
+    walked = [False] * len(diamonds)
+    ended: Set[VertexId] = set()
+    for ta, tri in enumerate(tri_sets):
+        for corner in tri:
+            if corner in ended:
+                continue
+            eid, u = leave(corner, tri)
+            path, ds = [eid], []
+            while u in across:
+                i, y = across[u]
+                if walked[i]:
+                    raise NotDecomposable("diamonds chain into a closed cycle")
+                walked[i] = True
+                ds.append(diamonds[i])
+                eid, u = leave(y, diamonds[i].internal)
+                path.append(eid)
+            tb = tri_index.get(u)
+            if tb is None:
+                raise NotDecomposable(
+                    f"the H-edge at {corner!r} reaches no triangle")
+            if tb == ta:
+                if g.m in path:
+                    raise ClaimViolation("sb-triangle-free", (s1, b1))
+                raise NotDecomposable(
+                    "a diamond string attaches twice to one triangle")
+            ended.add(u)
+            walks.append((ta, tb, bool(ds), min(
+                ds[0].internal[0], ds[-1].internal[0]) if ds else eid,
+                DiamondString(tuple(ds), tuple(path[1:-1]), corner, path[0],
+                              u, eid)))
+    if not all(walked):
+        raise NotDecomposable("diamonds chain into a closed cycle")
+    walks.sort()
 
-    h = build_graph(h_pairs, vertices=range(len(triangles)))
-    for ti, tri in enumerate(triangles):
+    triangles = [Triangle(vertices=tri) for tri in tri_sets]
+    for h_eid, (ta, tb, _, _, s) in enumerate(walks):
+        triangles[ta].corner_for[h_eid] = s.attach_left
+        triangles[tb].corner_for[h_eid] = s.attach_right
+    h = build_graph([w[:2] for w in walks], vertices=range(len(triangles)))
+    for tri in triangles:
         if sorted(tri.corner_for.values()) != sorted(tri.vertices):
             raise NotDecomposable(
                 f"triangle {tri.vertices} corners do not match its H-edges")
@@ -504,7 +358,7 @@ def oum_decompose(g: MultiGraph,
 
     return OumDecomposition(variant=SUBSTITUTED, h=h,
                             triangles=tuple(triangles),
-                            realizations=tuple(realizations))
+                            realizations=tuple(w[4] for w in walks))
 
 
 # ---------------------------------------------------------------------------

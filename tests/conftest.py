@@ -112,8 +112,7 @@ def whole_boundary(g, up_vertex=None):
 def decompose_whole(g, boundary=None):
     """`oum_decompose` on all of g as a standalone big component, its
     boundary read from g unless given."""
-    return oum_decompose(g, g.vertices, g.edge_ids,
-                         boundary or whole_boundary(g))
+    return oum_decompose(g, g.vertices, boundary or whole_boundary(g))
 
 
 def diamond_path(rng: random.Random, d: int):

@@ -10,8 +10,7 @@ from packedge.families import SubstitutionPlan, gen_k4, gen_ring, gen_substitute
 from packedge.graph import INFINITE, MultiGraph, edge_distances_from
 from packedge.matching import two_factor_containing
 from packedge.recognize import find_claw, is_cubic, is_two_edge_connected
-from packedge.structure import (IS_K4, RING_OF_DIAMONDS, _strings_of,
-                                component_boundary, find_diamonds,
+from packedge.structure import (IS_K4, RING_OF_DIAMONDS, component_boundary,
                                 oum_decompose)
 from packedge.oracle import BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE
 from packedge.verify import BadSpec, PartialColoring, Violation
@@ -144,8 +143,9 @@ def line_graph(g):
 
 
 def collect_diamond_strings(g):
-    """The diamonds of g grouped into maximal strings."""
-    return _strings_of(g, find_diamonds(g))
+    """The diamonds of a substituted g grouped into maximal strings: the
+    realizations of its H-edges with at least one diamond."""
+    return [s for s in oum_decompose(g).realizations if s.k]
 
 
 def color_k4_reference(g):
@@ -172,15 +172,11 @@ def lifted_cycles(g):
     for eids, verts in zip(tf.cycles, tf.cycle_vertices):
         positions, region = [], set()
         for t, conn in enumerate(eids):
-            real = dec.realizations[conn]
-            if real.is_string:
-                s = real.string
-                leaving = dec.triangles[verts[t]].corner_for[conn]
-                positions.append(s.attach_left_edge if s.attach_left == leaving
-                                 else s.attach_right_edge)
-                region |= s.region_edges()
-            else:
-                positions.append(real.plain_eid)
+            s = dec.realizations[conn]
+            leaving = dec.triangles[verts[t]].corner_for[conn]
+            positions.append(s.attach_left_edge if s.attach_left == leaving
+                             else s.attach_right_edge)
+            region |= s.region_edges()
             nxt = dec.triangles[verts[(t + 1) % len(eids)]]
             x = nxt.corner_for[conn]
             y = nxt.corner_for[eids[(t + 1) % len(eids)]]
@@ -206,8 +202,7 @@ def reconstruct(dec):
     if dec.variant == RING_OF_DIAMONDS:
         return gen_ring(dec.ring_size)
     return gen_substituted(SubstitutionPlan(dec.h, {
-        h_eid: r.string.k for h_eid, r in enumerate(dec.realizations)
-        if r.is_string}))
+        h_eid: s.k for h_eid, s in enumerate(dec.realizations) if s.k}))
 
 
 def build_tilde_reference(g, vertices, edge_ids, up_vertex=None):

@@ -256,6 +256,37 @@ def test_usage_error_exit(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("recognize", "{missing}"),
+    ("recognize", "{tmp}"),
+    ("recognize", "{binary}"),
+    ("color", "{graph}", "--out", "{missing}/c.json"),
+    ("color", "{graph}", "--dot", "{missing}/c.dot"),
+], ids=["missing-file", "directory", "not-utf8", "out-unwritable",
+        "dot-unwritable"])
+def test_file_error_is_usage_error(tmp_path, capsys, argv):
+    # a file that cannot be read or written as UTF-8 text is one error
+    # line and exit 2, not a traceback
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(write_edge_list(gen_ring(2)))
+    (tmp_path / "binary").write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *(arg.format(
+        missing=tmp_path / "missing", tmp=tmp_path, graph=graph_file,
+        binary=tmp_path / "binary") for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_non_string_label_is_usage_error(tmp_path, capsys):
+    col_file = tmp_path / "c.json"
+    doc = json.loads(write_edge_list(gen_ring(2)))
+    doc["assignment"] = {str(eid): [1] for eid in range(12)}
+    col_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(col_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: assignment") and err.count("\n") == 1
+
+
 def test_truncated_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(write_edge_list(gen_ring(2))[:40])

@@ -141,30 +141,44 @@ def test_odd_cycle_single_anchor():
 # -- strings ---------------------------------------------------------------
 
 def single_string_graph():
-    """Substituted K4 with one length-1 string; returns (g, realization)."""
+    """Substituted K4 with one length-1 string; returns (g, its H-edges'
+    realizations)."""
     g = gen_substituted(SubstitutionPlan(build_graph(
         [(a, b) for a in range(4) for b in range(a + 1, 4)]), {0: 1}))
-    (real,) = [r for r in oum_decompose(g).realizations if r.is_string]
-    assert real.string.k == 1
-    return g, real
+    realizations = oum_decompose(g).realizations
+    assert sorted(s.k for s in realizations) == [0] * 5 + [1]
+    return g, realizations
 
 
-# the H-edge's color, the string's (pair, pair, rest) colors, and for 3a
-# the end of the H-edge whose corner the cycle leaves
-@pytest.mark.parametrize("color,pairs,rest,leaving", [
-    (COLOR_1A, (COLOR_1B, COLOR_1C), COLOR_1A, None),
-    (COLOR_1B, (COLOR_1A, COLOR_1C), COLOR_1B, None),
-    (COLOR_1C, (COLOR_1A, COLOR_1B), COLOR_1C, None),
-    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_a"),
-    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_b"),
-], ids=["1a", "1b", "1c", "3a-corner_a", "3a-corner_b"])
-def test_color_h_edge_string(color, pairs, rest, leaving):
-    g, real = single_string_graph()
-    s = real.string
-    corner = getattr(real, leaving) if leaving else None
+# the H-edge's color, the string's (pair, pair, rest) colors, for 3a the end
+# of the H-edge whose corner the cycle leaves (corner_a in the smaller
+# triangle, where the string starts), and the string's length: a plain edge
+# is the string of no diamonds, and takes exactly its color
+@pytest.mark.parametrize("color,pairs,rest,leaving,k", [
+    (COLOR_1A, (COLOR_1B, COLOR_1C), COLOR_1A, None, 1),
+    (COLOR_1B, (COLOR_1A, COLOR_1C), COLOR_1B, None, 1),
+    (COLOR_1C, (COLOR_1A, COLOR_1B), COLOR_1C, None, 1),
+    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_a", 1),
+    (COLOR_3A, (COLOR_1C, COLOR_1A), COLOR_1B, "corner_b", 1),
+    (COLOR_1A, (), COLOR_1A, None, 0),
+    (COLOR_1B, (), COLOR_1B, None, 0),
+    (COLOR_1C, (), COLOR_1C, None, 0),
+    (COLOR_3A, (), COLOR_3A, "corner_a", 0),
+], ids=["1a", "1b", "1c", "3a-corner_a", "3a-corner_b", "plain-1a",
+        "plain-1b", "plain-1c", "plain-3a"])
+def test_color_h_edge_string(color, pairs, rest, leaving, k):
+    g, realizations = single_string_graph()
+    s = next(s for s in realizations if s.k == k)
+    corner = {None: None, "corner_a": s.attach_left,
+              "corner_b": s.attach_right}[leaving]
     col = {}
-    _color_h_edge(g, real, color, corner, col)
+    _color_h_edge(g, s, color, corner, col)
     assert set(col) == s.region_edges()
+    if k == 0:
+        assert s.connectors == ()
+        assert col == {s.attach_left_edge: color}
+        assert s.attach_left_edge == s.attach_right_edge
+        return
     assert col[s.diamonds[0].internal_edge] == rest
     for pair, c in zip(s.diamonds[0].external_pairs(g), pairs):
         assert [col[eid] for eid in pair] == [c, c]
@@ -231,7 +245,7 @@ def anchored_contract_holds(g, col, anchor):
 def completion_coloring_on_tilde(g, vertices, edge_ids, boundary, up_vertex):
     """The anchored coloring of an odd component's completion, moved onto
     the copy-built reference tilde, with the tilde and its s1b1 id."""
-    dec = oum_decompose(g, vertices, edge_ids, boundary)
+    dec = oum_decompose(g, vertices, boundary)
     col = _color_completion(g, dec, edge_ids, g.m)
     tilde, shared = build_tilde_reference(g, vertices, edge_ids, up_vertex)
     kept = shared.index(None)
@@ -262,7 +276,7 @@ def test_anchored_even_cycle(k4):
     # substituted K4: the 2-factor cycle is even, anchor on a connector
     g = gen_substituted(SubstitutionPlan(k4))
     dec = oum_decompose(g)
-    anchor = dec.realizations[0].plain_eid
+    anchor = dec.realizations[0].attach_left_edge
     col = _color_substituted(g, dec, anchor)
     assert anchored_contract_holds(g, col, anchor)
     assert verify(g, col) == []
@@ -271,7 +285,7 @@ def test_anchored_even_cycle(k4):
 def test_anchored_odd_cycles():
     g = gen_substituted(SubstitutionPlan(gen_petersen()))
     dec = oum_decompose(g)
-    anchor = dec.realizations[0].plain_eid
+    anchor = dec.realizations[0].attach_left_edge
     col = _color_substituted(g, dec, anchor)
     assert anchored_contract_holds(g, col, anchor)
     assert verify(g, col) == []
@@ -552,8 +566,9 @@ def test_diamond_strings_vertex_disjoint(k4):
     assert sorted(s.k for s in strings) == [1, 2, 3]
     seen = set()
     for s in strings:
-        assert not (seen & s.vertices)
-        seen |= s.vertices
+        vertices = set().union(*(d.vertices for d in s.diamonds))
+        assert not (seen & vertices)
+        seen |= vertices
     col = color_graph(g)
     assert verify(g, col) == []
 

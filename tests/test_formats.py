@@ -131,7 +131,8 @@ def test_malformed_edge_list(text):
         parse_edge_list(text)
 
 
-@pytest.mark.parametrize("assignment", [None, '[]', '{"x": "1a"}'])
+@pytest.mark.parametrize("assignment", [None, '[]', '{"x": "1a"}',
+                                        '{"0": [1]}', '{"0": 1}'])
 def test_malformed_coloring(k4, assignment):
     doc = json.loads(write_edge_list(k4))
     if assignment is not None:

@@ -291,7 +291,7 @@ def test_oum_substituted_k4(k4):
     dec = oum_decompose(g)
     assert dec.variant == SUBSTITUTED
     assert dec.h.n == 4 and dec.h.m == 6
-    assert all(not r.is_string for r in dec.realizations)
+    assert all(s.k == 0 and s.connectors == () for s in dec.realizations)
     assert are_isomorphic_small(reconstruct(dec), g)
 
 
@@ -499,8 +499,7 @@ def test_substituted_decomposition_builds_only_h(monkeypatch, k4):
     bd = bridge_decompose(g)
     hub = next(i for i, b in enumerate(bd.boundaries) if b and b.r == 3)
     del built[:]
-    dec = oum_decompose(g, bd.vertices[hub], bd.edge_maps[hub],
-                        bd.boundaries[hub])
+    dec = oum_decompose(g, bd.vertices[hub], bd.boundaries[hub])
     assert dec.variant == SUBSTITUTED
     assert built == [dec.h]
 
@@ -695,9 +694,9 @@ def test_tilde_even_adds_one_pair_edge():
     # the one added edge, id m, is a plain H-edge joining the two boundary
     # triangles at their degree-2 vertices
     assert dec.h.n == 2 and is_cubic(dec.h)
-    (pair,) = [r for r in dec.realizations if not r.is_string]
-    assert pair.plain_eid == g.m
-    assert sorted((pair.corner_a, pair.corner_b)) == sorted(b.degree2)
+    (pair,) = [s for s in dec.realizations if s.k == 0]
+    assert pair.attach_left_edge == pair.attach_right_edge == g.m
+    assert sorted((pair.attach_left, pair.attach_right)) == sorted(b.degree2)
 
 
 def test_tilde_odd_r3_drops_triangle():
@@ -708,10 +707,9 @@ def test_tilde_odd_r3_drops_triangle():
     # into one, and v2v3 (id m + 1) is a plain H-edge
     assert dec.h.n == 2 and is_cubic(dec.h) and not find_bridges(dec.h)
     assert all(b.degree2[0] not in t.vertices for t in dec.triangles)
-    (joined,) = [r.string for r in dec.realizations
-                 if r.is_string and g.m in r.string.connectors]
+    (joined,) = [s for s in dec.realizations if g.m in s.connectors]
     assert joined.k == 2
-    assert [r.plain_eid for r in dec.realizations if not r.is_string] == \
+    assert [s.attach_left_edge for s in dec.realizations if s.k == 0] == \
         [g.m + 1]
 
 
@@ -748,15 +746,10 @@ def decomposition_summary(dec, eid):
         return (IS_K4,)
     if dec.variant == RING_OF_DIAMONDS:
         return dec.variant, dec.ring_size, tuple(map(diamond, dec.diamonds))
-    realizations = []
-    for r in dec.realizations:
-        s = r.string
-        realizations.append((r.corner_a, r.corner_b, s is None and eid(
-            r.plain_eid), s and (
-            tuple(map(diamond, s.diamonds)),
-            tuple(map(eid, s.connectors)), s.attach_left,
-            eid(s.attach_left_edge), s.attach_right,
-            eid(s.attach_right_edge))))
+    realizations = [(tuple(map(diamond, s.diamonds)),
+                     tuple(map(eid, s.connectors)), s.attach_left,
+                     eid(s.attach_left_edge), s.attach_right,
+                     eid(s.attach_right_edge)) for s in dec.realizations]
     return (dec.variant, dec.h.vertices, dec.h.edge_list(),
             [(t.vertices, t.corner_for) for t in dec.triangles],
             realizations)
@@ -774,8 +767,7 @@ def test_tilde_always_clawfree_cubic_2ec():
             if kind != BIG_COMPONENT:
                 continue
             up = bd.up_edges[i]
-            dec = oum_decompose(g, bd.vertices[i], bd.edge_maps[i],
-                                bd.boundaries[i])
+            dec = oum_decompose(g, bd.vertices[i], bd.boundaries[i])
             ref, shared = build_tilde_reference(
                 g, bd.vertices[i], bd.edge_maps[i], up.p if up else None)
             first_added = shared.index(None) if None in shared else 0
@@ -785,10 +777,9 @@ def test_tilde_always_clawfree_cubic_2ec():
                     else g.m + t - first_added))
             if bd.boundaries[i].r % 2 and dec.variant == SUBSTITUTED:
                 joins.append(next(
-                    "plain" if not r.is_string else
-                    "strings" if g.m in r.string.connectors else "mixed"
-                    for r in dec.realizations if r.plain_eid == g.m or
-                    r.is_string and g.m in r.string.region_edges()))
+                    "plain" if s.k == 0 else
+                    "strings" if g.m in s.connectors else "mixed"
+                    for s in dec.realizations if g.m in s.region_edges()))
     # 30, 120 and 148 of them here, the hubs making every plain join
     assert all(joins.count(join) >= 30 for join in ("plain", "mixed",
                                                      "strings"))
@@ -801,17 +792,11 @@ def decomposition_record(dec):
     attach_right_edge), a plain edge being a string of no diamonds."""
     if dec.variant != SUBSTITUTED:
         return dec.variant, dec.ring_size, [d.internal for d in dec.diamonds]
-    realizations = []
-    for r in dec.realizations:
-        s = r.string
-        realizations.append((
-            tuple(d.internal for d in s.diamonds), s.connectors,
-            s.attach_left, s.attach_left_edge, s.attach_right,
-            s.attach_right_edge) if s else
-            ((), (), r.corner_a, r.plain_eid, r.corner_b, r.plain_eid))
     return (dec.variant, dec.h.edge_list(),
             [sorted(t.corner_for.items()) for t in dec.triangles],
-            realizations)
+            [(tuple(d.internal for d in s.diamonds), s.connectors,
+              s.attach_left, s.attach_left_edge, s.attach_right,
+              s.attach_right_edge) for s in dec.realizations])
 
 
 # sha256 of `decomposition_record` over every big component of the corpus
@@ -828,8 +813,7 @@ def test_decompositions_pinned(corpus):
         for i, kind in enumerate(bd.kinds):
             if kind == BIG_COMPONENT:
                 digest.update(repr(decomposition_record(oum_decompose(
-                    g, bd.vertices[i], bd.edge_maps[i],
-                    bd.boundaries[i]))).encode())
+                    g, bd.vertices[i], bd.boundaries[i]))).encode())
     assert digest.hexdigest() == DECOMPOSITIONS_SHA256
 
 
