@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -18,7 +19,7 @@ from packedge.graph import are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
 from packedge.structure import IS_K4, oum_decompose
-from conftest import decompose_whole, whole_boundary
+from conftest import bushy_tree, decompose_whole, diamond_path, whole_boundary
 from reference import labeled_cubic_multigraphs_reference
 
 
@@ -168,6 +169,70 @@ def test_random_h_is_2ec_cubic_multigraph():
     for n in (4, 6, 8, 12):
         h = random_cubic_multigraph_2ec(rng, n)
         assert h.n == n and is_cubic(h) and is_two_edge_connected(h)
+
+
+# -- generator output pins --------------------------------------------------
+
+def substitution_plans(corpus):
+    """Every corpus plan, then seeded random plans with |H| = 16 .. 512,
+    strings drawn as in `gen_random_clawfree_cubic`."""
+    plans = [entry.plan for entry in corpus if entry.plan is not None]
+    for n in (16, 32, 64, 128, 256, 512):
+        rng = random.Random(n)
+        h = random_cubic_multigraph_2ec(rng, n)
+        plans.append(SubstitutionPlan(h, {eid: rng.randint(1, 3)
+                                          for eid in h.edge_ids
+                                          if rng.random() < 0.3}))
+    return plans
+
+
+def chain_tuples():
+    """Every chain tuple with r <= 3 and k <= 3 (k >= 1 when r == 1)."""
+    return [ks for r in (1, 2, 3) for ks in product(range(4), repeat=r)
+            if r > 1 or ks[0] >= 1]
+
+
+def bridged_inputs():
+    """conftest's diamond paths and bushy trees, the `ladder` tree rungs
+    among them."""
+    return ([diamond_path(random.Random(s), d)
+             for s, d in ((1, 0), (2, 1), (3, 7), (3, 400))]
+            + [bushy_tree(random.Random(s), size)
+               for s, size in ((1, 1), (2, 2), (3, 15), (1, 60), (2, 60))])
+
+
+GENERATED = {
+    "substituted": lambda corpus: [gen_substituted(plan)
+                                   for plan in substitution_plans(corpus)],
+    "big": lambda corpus: [gen_big_component(ks) for ks in chain_tuples()],
+    "bridged": lambda corpus: bridged_inputs(),
+    "random": lambda corpus: [gen_random_clawfree_cubic(seed, bridged=bridged)
+                              for bridged in (False, True)
+                              for seed in range(200)],
+}
+
+# sha256 of `repr((g.vertices, g.edge_list()))` over each generator's
+# graphs above, as computed when every generator still built its graph on
+# tuple labels and relabelled it to 0..n-1 by sorting them.  Any change to
+# a generated vertex numbering or edge order moves it.
+GENERATED_SHA256 = {
+    "substituted":
+        "7750dac3aca1fcbd0b7ec7263aa1f10f25c655e3fe55e314c16e6c7e65e35eb1",
+    "big":
+        "915d8d0de7a1bd0509328ea61f28ec9125a0e51a145ce91c01bd024d934b40eb",
+    "bridged":
+        "6bebaa9fac00b1afe45d9e936a1818341fd3a9507f42dffffe587b0acf512967",
+    "random":
+        "803142994f0b9ec581647071d01e80ac162600cf4f66650e274721a4402412dd",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_generated_graphs_pinned(corpus, family):
+    digest = hashlib.sha256()
+    for g in GENERATED[family](corpus):
+        digest.update(repr((g.vertices, g.edge_list())).encode())
+    assert digest.hexdigest() == GENERATED_SHA256[family]
 
 
 # -- enumeration -------------------------------------------------------------
