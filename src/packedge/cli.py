@@ -18,9 +18,9 @@ from . import corpus as corpus_mod
 from .coloring import COLOR_3A, color_graph
 from .families import (gen_k4, gen_leaf7, gen_leaf7_pair, gen_petersen,
                        gen_random_clawfree_cubic, gen_ring, gen_tietze)
-from .formats import (parse_coloring, parse_edge_list, parse_graph6,
-                      write_coloring, write_dot, write_edge_list,
-                      write_graph6)
+from .formats import (MalformedDocument, parse_coloring, parse_edge_list,
+                      parse_graph6, write_coloring, write_dot,
+                      write_edge_list, write_graph6)
 from .graph import GraphError, MultiGraph
 from .oracle import DEFAULT_BUDGET, FEASIBLE, INFEASIBLE, oracle_color
 from .recognize import (find_bridges, find_claw, is_cubic,
@@ -51,10 +51,13 @@ GENERATORS = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{exc}: {path!r}") from None
 
 
 def _load_graph(path: str) -> MultiGraph:
@@ -271,8 +274,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, OSError, UnicodeDecodeError) as exc:
-        # bad input, or a file that cannot be read or written as UTF-8 text
+    except (GraphError, OSError) as exc:
+        # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -5,6 +5,11 @@ rings, the 7-vertex leaf), seeded random generators, and an exhaustive
 enumeration of small cubic multigraphs up to isomorphism.  The enumeration
 represents each class by the first labeling its generator yields, which is
 the class's lexicographically greatest valid labeling.
+
+Each generator numbers its vertices 0..n-1 as it builds its one graph: a
+substitution or big component its diamonds first, four ids each, then its
+triangles (`gen_substituted`, `gen_big_component`); `gen_bridged` its
+components in recipe order, each numbered as when built alone.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, Iterator, List, Mapping, Tuple
 
 from .graph import (EdgeId, GraphError, MultiGraph, VertexId,
-                    _multiplicity_map, are_isomorphic_small, build_graph,
-                    relabel_to_ints)
+                    _multiplicity_map, are_isomorphic_small, build_graph)
 from .recognize import (find_bridges, is_cubic, is_two_edge_connected,
                         require_clawfree_cubic)
 from .structure import component_boundary
@@ -60,14 +65,9 @@ def gen_ring(k: int) -> MultiGraph:
 
 def gen_petersen() -> MultiGraph:
     """Kneser construction: 2-subsets of a 5-set, adjacent iff disjoint."""
-    subsets = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for i, s in enumerate(subsets):
-        for t in subsets[i + 1:]:
-            if not set(s) & set(t):
-                edges.append((index[s], index[t]))
-    return build_graph(sorted(edges))
+    subsets = [set(s) for s in combinations(range(5), 2)]
+    return build_graph([(i, j) for i, j in combinations(range(10), 2)
+                        if not subsets[i] & subsets[j]])
 
 
 def gen_tietze() -> MultiGraph:
@@ -122,30 +122,41 @@ class SubstitutionPlan:
 
 def gen_substituted(plan: SubstitutionPlan) -> MultiGraph:
     """Blow every vertex of the plan graph up into a triangle and realize
-    the chosen edges as strings of diamonds; vertices are 0..n-1."""
+    the chosen edges as strings of diamonds.
+
+    With D diamonds in all, diamond f (numbered along the H-edges in edge-id
+    order) is 4f .. 4f+3 and triangle t's corners are 4D+3t .. 4D+3t+2,
+    corner j meeting t's j-th H-edge in edge-id order.
+    """
     plan.validate()
     h = plan.h
+    first = 4 * sum(plan.strings.values())
     edges: List[Tuple[VertexId, VertexId]] = []
-    corner: Dict[Tuple[int, EdgeId], Tuple] = {}
+    corner: Dict[Tuple[int, EdgeId], int] = {}
     for t in range(h.n):
-        c = [("t", t, j) for j in range(3)]
-        edges += [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
-        for slot, (h_eid, _) in enumerate(sorted(h.incident(t))):
-            corner[(t, h_eid)] = c[slot]
-    fresh = 0
+        c = first + 3 * t
+        edges += [(c, c + 1), (c, c + 2), (c + 1, c + 2)]
+        for j, (h_eid, _) in enumerate(h.incident(t)):
+            corner[(t, h_eid)] = c + j
+    x = 0
     for h_eid in h.edge_ids:
         t1, t2 = h.endpoints(h_eid)
-        a, b = corner[(t1, h_eid)], corner[(t2, h_eid)]
-        k = plan.strings.get(h_eid, 0)
-        prev = a
-        for _ in range(k):
-            x, y, z, w = [("d", fresh, i) for i in range(4)]
-            fresh += 1
-            edges += [(x, z), (x, w), (y, z), (y, w), (z, w), (prev, y)]
-            prev = x
-        edges.append((prev, b))
-    out, _ = relabel_to_ints(build_graph(edges))
-    return out
+        x = _add_string(edges, x, corner[(t1, h_eid)], corner[(t2, h_eid)],
+                        plan.strings.get(h_eid, 0))
+    return build_graph(edges)
+
+
+def _add_string(edges: List[Tuple[VertexId, VertexId]], first: int,
+                a: int, b: int, k: int) -> int:
+    """Append to edges a string of k diamonds from a to b, the diamond on
+    x .. x+3 entered at x+1 and left at x, for x = first, first+4, ...;
+    the next unused vertex id."""
+    for x in range(first, first + 4 * k, 4):
+        edges += [(x, x + 2), (x, x + 3), (x + 1, x + 2), (x + 1, x + 3),
+                  (x + 2, x + 3), (a, x + 1)]
+        a = x
+    edges.append((a, b))
+    return first + 4 * k
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +170,25 @@ def gen_big_component(chain_lengths: Tuple[int, ...]) -> MultiGraph:
     triangle i+1, 0 for a plain edge (not when r == 1, where it would double
     an edge of the triangle); the result has exactly r degree-2 vertices
     (one per triangle) and r == 1 with one diamond is the 7-vertex leaf.
+
+    With D diamonds in all, diamond f along the chains is 4f .. 4f+3 and
+    triangle j is u_j = 4D+j, v_j = 4D+r+j (of degree 2), w_j = 4D+2r+j.
     """
     r = len(chain_lengths)
     least = 1 if r == 1 else 0
     if r < 1 or any(k < least for k in chain_lengths):
         raise BadCount(f"invalid chain lengths {chain_lengths}")
+    u = 4 * sum(chain_lengths)
+    v, w = u + r, u + 2 * r
     edges: List[Tuple[VertexId, VertexId]] = []
-    tri = []
     for j in range(r):
-        u, v, w = ("u", j), ("v", j), ("w", j)
-        tri.append((u, v, w))
-        edges += [(u, v), (v, w), (u, w)]
-    fresh = 0
+        edges += [(u + j, v + j), (v + j, w + j), (u + j, w + j)]
+    x = 0
     for j, k in enumerate(chain_lengths):
-        prev = tri[j][0]                      # u of triangle j
-        for _ in range(k):
-            x, y, z, w = [("d", fresh, i) for i in range(4)]
-            fresh += 1
-            edges += [(x, z), (x, w), (y, z), (y, w), (z, w), (prev, y)]
-            prev = x
-        edges.append((prev, tri[(j + 1) % r][2]))   # into w of next triangle
-    out, _ = relabel_to_ints(build_graph(edges))
+        x = _add_string(edges, x, u + j, w + (j + 1) % r, k)
+    out = build_graph(edges)
     # raises if the boundary claims fail
-    degree2 = [v for v in out.vertices if out.degree(v) == 2]
+    degree2 = [a for a in out.vertices if out.degree(a) == 2]
     boundary = component_boundary(out, frozenset(), degree2)
     assert boundary.r == r
     return out
@@ -195,18 +202,19 @@ class BridgedPlan:
     recipes: Tuple[Tuple, ...]                # ("k3",) | ("diamond",) | ("big", ks)
 
 
-def _component_with_boundary(recipe: Tuple
-                             ) -> Tuple[MultiGraph, Tuple[VertexId, ...]]:
-    kind = recipe[0]
-    if kind == "k3":
-        return build_graph([(0, 1), (1, 2), (0, 2)]), (0, 1, 2)
-    if kind == "diamond":
-        g = build_graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        return g, (0, 1)
-    if kind == "big":
-        g = gen_big_component(recipe[1])
-        return g, tuple(v for v in g.vertices if g.degree(v) == 2)
-    raise BadCount(f"unknown recipe {recipe!r}")
+# a component as (edges, order, boundary vertices) on vertices 0..order-1
+_SMALL_COMPONENTS = {
+    "k3": (((0, 1), (1, 2), (0, 2)), 3, (0, 1, 2)),
+    "diamond": (((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4, (0, 1)),
+}
+
+
+@lru_cache(maxsize=256)
+def _big_component(chain_lengths: Tuple[int, ...]) -> Tuple:
+    """`gen_big_component(chain_lengths)` in that form, built once."""
+    g = gen_big_component(chain_lengths)
+    return g.edge_list(), g.n, tuple(v for v in g.vertices
+                                     if g.degree(v) == 2)
 
 
 def gen_bridged(plan: BridgedPlan) -> MultiGraph:
@@ -220,14 +228,19 @@ def gen_bridged(plan: BridgedPlan) -> MultiGraph:
     slots: List[List[int]] = []
     offset = 0
     for i, recipe in enumerate(plan.recipes):
-        g, boundary = _component_with_boundary(recipe)
+        if recipe[0] == "big":
+            component, order, boundary = _big_component(tuple(recipe[1]))
+        elif recipe[0] in _SMALL_COMPONENTS:
+            component, order, boundary = _SMALL_COMPONENTS[recipe[0]]
+        else:
+            raise BadCount(f"unknown recipe {recipe!r}")
         if len(boundary) != degree[i]:
             raise BadCount(
                 f"recipe {recipe!r} offers {len(boundary)} boundary vertices "
                 f"but tree degree is {degree[i]}")
-        edges += [(u + offset, v + offset) for u, v in g.edge_list()]
+        edges += [(a + offset, b + offset) for a, b in component]
         slots.append([b + offset for b in boundary])
-        offset += g.n
+        offset += order
     for i, p in enumerate(plan.parents, start=1):
         edges.append((slots[i].pop(0), slots[p].pop(0)))
     return build_graph(edges)
@@ -258,7 +271,6 @@ def random_cubic_multigraph_2ec(rng: random.Random, n: int,
             continue
         edges = []
         seen = set()
-        ok = True
         for i in range(n):
             if i in seen:
                 continue
@@ -268,17 +280,12 @@ def random_cubic_multigraph_2ec(rng: random.Random, n: int,
                 cycle.append(j)
                 j = perm[j]
             seen.update(cycle)
-            if len(cycle) == 1:
-                ok = False
-                break
             if len(cycle) == 2:
                 edges.append((cycle[0], cycle[1]))
                 edges.append((cycle[0], cycle[1]))
             else:
                 edges += [(cycle[t], cycle[(t + 1) % len(cycle)])
                           for t in range(len(cycle))]
-        if not ok:
-            continue
         pair = list(range(n))
         rng.shuffle(pair)
         edges += [(pair[t], pair[t + 1]) for t in range(0, n, 2)]
@@ -400,14 +407,8 @@ def _labeled_cubic_multigraphs(n: int) -> Iterator[List[Tuple[int, int]]]:
 
 
 def _triangle_count(g: MultiGraph) -> int:
-    count = 0
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if g.has_edge(a, b):
-                    count += 1
-    return count // 3
+    return sum(g.has_edge(a, b) for v in g.vertices
+               for a, b in combinations(g.neighbors(v), 2)) // 3
 
 
 def _iso_fingerprint(g: MultiGraph) -> Tuple:

@@ -28,10 +28,10 @@ class MalformedGraph6(GraphError):
 
 
 class MalformedDocument(GraphError):
-    """JSON text that is not a graph or coloring document: bad JSON, not an
-    object, a missing key, an edge record other than [id, u, v], edge ids
-    other than 0..m-1, endpoints that cannot name vertices, or an
-    assignment label that is not a string."""
+    """Input that is not a graph or coloring document: bytes that are not
+    UTF-8 text, bad JSON, not an object, a missing key, an edge record
+    other than [id, u, v], edge ids other than 0..m-1, endpoints that
+    cannot name vertices, or an assignment label that is not a string."""
 
 
 def _g6_byte(value: int, offset: int) -> int:

@@ -160,26 +160,10 @@ def build_graph(edge_list: Sequence[Tuple[VertexId, VertexId]],
     return MultiGraph(edge_list, vertices)
 
 
-def relabel_to_ints(g: MultiGraph) -> Tuple[MultiGraph, Dict[VertexId, int]]:
-    """Copy of g with vertices renamed 0..n-1 (sorted order); edge ids kept."""
-    mapping = {v: i for i, v in enumerate(g.vertices)}
-    h = MultiGraph([(mapping[u], mapping[v]) for u, v in g.edge_list()],
-                   vertices=range(g.n))
-    return h, mapping
-
-
 # -- edge distance ----------------------------------------------------------
 
 def _adjacent_edges(g: MultiGraph, eid: EdgeId) -> List[EdgeId]:
-    u, v = g.endpoints(eid)
-    out = []
-    for f, _ in g.incident(u):
-        if f != eid:
-            out.append(f)
-    for f, _ in g.incident(v):
-        if f != eid:
-            out.append(f)
-    return out
+    return [f for x in g.endpoints(eid) for f, _ in g.incident(x) if f != eid]
 
 
 def edge_distances_from(g: MultiGraph, e: EdgeId,

@@ -71,9 +71,20 @@ def _link_table(g: MultiGraph,
     neighbours, or [] past three; `nbrs` is v -> neighbour set, if built."""
     if nbrs is None:
         nbrs = {v: {u for _, u in g.incident(v)} for v in g.vertices}
-    return {v: [] if len(near) > 3 else [
-        (a, b) for a, b in combinations(sorted(near), 2) if b in nbrs[a]]
-        for v, near in nbrs.items()}
+    links: Links = {}
+    for v, near in nbrs.items():
+        if len(near) == 3:
+            a, b, c = sorted(near)
+            links[v] = pairs = [(a, b)] if b in nbrs[a] else []
+            if c in nbrs[a]:
+                pairs.append((a, c))
+            if c in nbrs[b]:
+                pairs.append((b, c))
+        else:
+            links[v] = [] if len(near) > 3 else [
+                (a, b) for a, b in combinations(sorted(near), 2)
+                if b in nbrs[a]]
+    return links
 
 
 def _bridge_dfs(g: MultiGraph
@@ -149,7 +160,8 @@ def require_clawfree_cubic(g: MultiGraph) -> GateFacts:
             f"input graph is {'not connected' if g.n else 'empty'}")
     if not is_cubic(g):
         raise NotCubic(f"degree sequence {g.degree_sequence()}")
-    nbrs = {v: {u for _, u in g.incident(v)} for v in g.vertices}
+    nbrs = {v: {a, b, c} for v in g.vertices
+            for (_, a), (_, b), (_, c) in (g.incident(v),)}
     if any(len(near) != 3 for near in nbrs.values()):
         raise NotSimple("input graph has parallel edges")
     links = _link_table(g, nbrs)

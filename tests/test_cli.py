@@ -277,6 +277,14 @@ def test_file_error_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_undecodable_file_error_names_the_file(tmp_path, capsys):
+    binary = tmp_path / "not-utf8.json"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "color", str(binary))
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and str(binary) in err
+
+
 def test_verify_non_string_label_is_usage_error(tmp_path, capsys):
     col_file = tmp_path / "c.json"
     doc = json.loads(write_edge_list(gen_ring(2)))

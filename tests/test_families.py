@@ -15,7 +15,7 @@ from packedge.families import (BadCount, BridgedPlan, InvalidPlan,
                                gen_ring, gen_substituted, gen_tietze,
                                random_cubic_multigraph_2ec,
                                _labeled_cubic_multigraphs, _triangle_count)
-from packedge.graph import are_isomorphic_small, build_graph
+from packedge.graph import MultiGraph, are_isomorphic_small, build_graph
 from packedge.recognize import (find_bridges, find_claw, is_cubic,
                                 is_two_edge_connected)
 from packedge.structure import IS_K4, oum_decompose
@@ -233,6 +233,43 @@ def test_generated_graphs_pinned(corpus, family):
     for g in GENERATED[family](corpus):
         digest.update(repr((g.vertices, g.edge_list())).encode())
     assert digest.hexdigest() == GENERATED_SHA256[family]
+
+
+def graph_builds(monkeypatch):
+    """A list that grows by one entry per later `MultiGraph` built."""
+    real = MultiGraph.__init__
+    builds = []
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(MultiGraph, "__init__", counted)
+    return builds
+
+
+def test_each_generator_builds_one_graph(monkeypatch, corpus):
+    plans = substitution_plans(corpus)[::25]
+    tree = BridgedPlan(parents=(0, 1, 2, 0, 0, 2, 5),
+                       recipes=(("k3",), ("diamond",), ("k3",), ("big", (3,)),
+                                ("big", (2,)), ("big", (1, 3)),
+                                ("big", (2,)), ("big", (1,))))
+    builds = graph_builds(monkeypatch)
+    for plan in plans:
+        del builds[:]
+        gen_substituted(plan)
+        assert len(builds) == 1
+    for ks in chain_tuples():
+        del builds[:]
+        gen_big_component(ks)
+        assert len(builds) == 1
+    # the composed graph, and at most one per big chain tuple not seen
+    # before: four here, each seen again on the second call
+    del builds[:]
+    gen_bridged(tree)
+    assert 1 <= len(builds) <= 5
+    del builds[:]
+    gen_bridged(tree)
+    assert len(builds) == 1
 
 
 # -- enumeration -------------------------------------------------------------
